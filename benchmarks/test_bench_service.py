@@ -142,6 +142,40 @@ def test_bench_service_cache_latency(benchmark):
     assert warm_ms < cold_ms
 
 
+def test_bench_service_sweep_skips_codegen(benchmark):
+    """A warm 1-seed sweep costs at most 2x a warm submit (near-empty
+    runs): both run the program the server compiled once in its parent,
+    so codegen must never creep back into the per-job children. The
+    gate is a ratio of two round trips on one server, so host speed
+    cancels out; before codegen moved to the parent it read ~8x."""
+    source = format_net(build_pipeline_net())
+    server = ServerThread(workers=1)
+    submit_times: list[float] = []
+    sweep_times: list[float] = []
+    try:
+        with server.client() as client:
+            client.submit(source, until=1, seed=0)  # warm cache + codegen
+            client.sweep(source, [0], until=1)
+            for i in range(15):
+                start = time.perf_counter()
+                client.submit(source, until=1, seed=i + 1)
+                submit_times.append(time.perf_counter() - start)
+                start = time.perf_counter()
+                client.sweep(source, [i + 1], until=1)
+                sweep_times.append(time.perf_counter() - start)
+    finally:
+        server.stop()
+    submit_ms = 1000 * min(submit_times)
+    sweep_ms = 1000 * min(sweep_times)
+    benchmark.pedantic(lambda: None, rounds=1, iterations=1)
+    benchmark.extra_info["submit_tiny_ms"] = round(submit_ms, 3)
+    benchmark.extra_info["sweep_tiny_ms"] = round(sweep_ms, 3)
+    assert sweep_ms <= 2.0 * submit_ms, (
+        f"warm 1-seed sweep {sweep_ms:.2f}ms vs warm submit "
+        f"{submit_ms:.2f}ms: is codegen running in the job child again?"
+    )
+
+
 def test_bench_service_journal_overhead(benchmark, tmp_path):
     """Durability tax: journalled (--state) vs stateless, <= 10% apart.
 

@@ -34,6 +34,7 @@ from ..obs.metrics import MetricsRegistry, peak_rss_kb
 from ..obs.spans import SpanLog, mint_trace_id, read_spans
 from ..sim.experiment import ForkedTask, fork_available
 from ..sim.sweep import (
+    SweepRunSummary,
     TraceHasher,
     _aggregate,
     run_sweep,
@@ -147,24 +148,15 @@ def _count_backend(extra: dict[str, int], surface: str,
         extra[fallback] = extra.get(fallback, 0) + 1
 
 
-def execute_job(compiled: CompiledNet, spec: JobSpec, emit) -> dict[str, Any]:
-    """Run one job to completion; the CPU-bound leaf of the service.
+def _run_interpreted(compiled: CompiledNet, spec: JobSpec, emit):
+    """One job on the scalar interpreter: ``(run summary, simulator)``.
 
-    Runs inside the forked child (or a thread on fork-less platforms).
-    ``emit`` streams intermediate payloads — batches of serialized trace
-    lines — while statistics accumulate in a streaming observer; the
-    trace itself is never materialized (``keep_events=False``). The
-    returned payload is the job's ``result`` frame body: a summary
-    (counters, final time, the :class:`~repro.sim.sweep.TraceHasher`
-    digest of the event stream) plus the Figure-5 statistics when
-    subscribed. Text serialization is paid only when the ``trace``
-    output is subscribed; a stats-only job hashes the compact binary
-    event encoding and never formats a line.
+    ``emit`` streams batches of serialized trace lines while statistics
+    accumulate in a streaming observer; the trace itself is never
+    materialized (``keep_events=False``). Text serialization is paid
+    only when the ``trace`` output is subscribed.
     """
-    faults.stall_worker()  # chaos hook: hold the deadline path to the fire
     want_stats = "stats" in spec.outputs
-    want_trace = "trace" in spec.outputs
-
     header = TraceHeader(compiled.net.name, spec.run_number, spec.seed)
     hasher = TraceHasher(header)
     batch: list[str] = []
@@ -175,7 +167,7 @@ def execute_job(compiled: CompiledNet, spec: JobSpec, emit) -> dict[str, Any]:
             batch.clear()
 
     observers: list[Any] = [hasher.on_event]
-    if want_trace:
+    if "trace" in spec.outputs:
         batch.extend(format_header(header))
 
         def on_event(event) -> None:
@@ -201,11 +193,62 @@ def execute_job(compiled: CompiledNet, spec: JobSpec, emit) -> dict[str, Any]:
     )
     elapsed = time.perf_counter() - run_started
     flush()
-    _emit_obs_deltas(
-        emit, elapsed,
+    run = SweepRunSummary(
+        seed=spec.seed,
+        run_number=spec.run_number,
+        final_time=result.final_time,
         events_started=result.events_started,
         events_finished=result.events_finished,
-        runs=1, simulator=simulator,
+        trace_events=hasher.events,
+        trace_sha256=hasher.hexdigest(),
+        stats=(statistics_payload(stats_observer.result())
+               if stats_observer is not None else None),
+        elapsed_s=elapsed,
+    )
+    return run, simulator
+
+
+def execute_job(compiled: CompiledNet, spec: JobSpec, resolution,
+                emit) -> dict[str, Any]:
+    """Run one job to completion; the CPU-bound leaf of the service.
+
+    Runs inside the forked child (or a thread on fork-less platforms).
+    ``resolution`` is the ``(program, selected, reason)`` triple the
+    server resolved in its parent process: a stats-only job on a net in
+    the lockstep safe class runs the parent's warm generated loop
+    (:meth:`~repro.sim.lockstep.LockstepProgram.run_seed`), every other
+    job — a subscribed ``trace`` output, or a safe-class fallback —
+    runs the scalar interpreter. Either way the returned payload is the
+    job's ``result`` frame body, byte-identical across the two engines:
+    a summary (counters, final time, the
+    :class:`~repro.sim.sweep.TraceHasher` digest of the event stream)
+    plus the Figure-5 statistics when subscribed. The selection is
+    counted as ``submit_backend_<selected>_total`` (plus the fallback
+    reason) in the job's obs deltas.
+    """
+    faults.stall_worker()  # chaos hook: hold the deadline path to the fire
+    program, selected, reason = resolution
+    simulator = None
+    if program is not None:
+        run, _values = program.run_seed(
+            spec.seed, spec.run_number, spec.until, spec.max_events,
+            "stats" in spec.outputs, {}, {},
+        )
+        # chaos hook: the compiled loop has no per-event observers, so
+        # the kill-child budget drains at run granularity, as in sweeps.
+        saboteur = faults.event_saboteur()
+        if saboteur is not None:
+            for _ in range(run.events_started):
+                saboteur(None)
+    else:
+        run, simulator = _run_interpreted(compiled, spec, emit)
+    extra: dict[str, int] = {}
+    _count_backend(extra, "submit", selected, reason)
+    _emit_obs_deltas(
+        emit, run.elapsed_s,
+        events_started=run.events_started,
+        events_finished=run.events_finished,
+        runs=1, simulator=simulator, extra=extra,
     )
 
     payload: dict[str, Any] = {
@@ -213,22 +256,23 @@ def execute_job(compiled: CompiledNet, spec: JobSpec, emit) -> dict[str, Any]:
             "net": compiled.net.name,
             "seed": spec.seed,
             "run": spec.run_number,
-            "final_time": result.final_time,
-            "events_started": result.events_started,
-            "events_finished": result.events_finished,
-            "trace_events": hasher.events,
-            "trace_sha256": hasher.hexdigest(),
+            "final_time": run.final_time,
+            "events_started": run.events_started,
+            "events_finished": run.events_finished,
+            "trace_events": run.trace_events,
+            "trace_sha256": run.trace_sha256,
             "cache_key": compiled.key,
         }
     }
-    if stats_observer is not None:
-        payload["stats"] = statistics_payload(stats_observer.result())
+    if run.stats is not None:
+        payload["stats"] = run.stats
     return payload
 
 
 def execute_explore_job(
     prepared: list[tuple[dict[str, Any], CompiledNet, str]],
     spec: ExploreSpec,
+    resolutions,
     stored,
     emit,
 ) -> dict[str, Any]:
@@ -239,8 +283,12 @@ def execute_explore_job(
     the server's net cache *before* the fork, so the child inherits
     every skeleton by memory image and repeated explorations hit the
     cache. Runs inside a single forked child (one cancellable job); each
-    non-skipped cell forks its point's skeleton and streams a payload
+    non-skipped cell runs its point's engine and streams a payload
     identical to what a ``submit`` of the bound source would report.
+    ``resolutions`` holds each point's ``(program, selected, reason)``,
+    resolved (and the generated loop warmed) in the parent as well:
+    eligibility for the lockstep safe class can differ across points,
+    but cell payloads are bit-identical either way.
 
     ``stored`` maps grid indices to checkpointed cell payloads the
     server pulled from its shared result store before the fork; they
@@ -248,7 +296,6 @@ def execute_explore_job(
     still receives every cell it didn't client-side skip) without
     simulating, and count as ``resumed_cells`` on the summary.
     """
-    from ..sim.lockstep import resolve_backend
     from ..sim.sweep import _sweep_one
 
     want_stats = "stats" in spec.outputs
@@ -259,13 +306,6 @@ def execute_explore_job(
     events_started = events_finished = cells_run = resumed_cells = 0
     index = 0
     run_started = time.perf_counter()
-    # Backend resolution is per *point*: each bound template compiles to
-    # its own skeleton, and eligibility (the lockstep safe class) can
-    # differ across points. Cell payloads are bit-identical either way.
-    resolutions = [
-        resolve_backend(compiled.template, spec.backend)
-        for _point, compiled, _sha in prepared
-    ]
     for point_index, (_point, compiled, _sha) in enumerate(prepared):
         program, selected, reason = resolutions[point_index]
         for seed in seeds:
@@ -352,8 +392,8 @@ def execute_explore_job(
     }
 
 
-def execute_sweep_job(compiled: CompiledNet, spec: SweepSpec, stored,
-                      emit) -> dict[str, Any]:
+def execute_sweep_job(compiled: CompiledNet, spec: SweepSpec, resolution,
+                      stored, emit) -> dict[str, Any]:
     """Run one sweep job — the whole seed grid — to completion.
 
     Runs inside a single forked child (one cancellable job, one cache
@@ -371,24 +411,20 @@ def execute_sweep_job(compiled: CompiledNet, spec: SweepSpec, stored,
     byte-identical to a fresh run's frame — then only the missing seeds
     simulate; the result frame merges both so a resumed sweep's runs,
     aggregates and ``runs_sha256`` are bit-identical to a cold one.
-    """
-    from ..sim.lockstep import resolve_backend
 
+    ``resolution`` is the ``(program, selected, reason)`` triple the
+    server resolved in its parent, with the generated loop already
+    warm, so the child never pays codegen.
+    """
     faults.stall_worker()  # chaos hook: hold the deadline path to the fire
     want_stats = "stats" in spec.outputs
     stored = stored or {}
     seeds = list(spec.seeds)
     missing = [position for position in range(len(seeds))
                if position not in stored]
-    # Resolved here only to label the child spans as runs stream out;
-    # compilation is cached on the skeleton, so `run_sweep`'s own
-    # resolution below reuses the same program — no double codegen. A
-    # fully resumed sweep never resolves: nothing left to compile for.
-    selected, reason = "scalar", "resumed"
-    if missing:
-        _program, selected, reason = resolve_backend(
-            compiled.template, spec.backend
-        )
+    program, selected, reason = resolution
+    if not missing:
+        selected, reason = "scalar", "resumed"
     # chaos hook: the lockstep backend has no per-event observers, so the
     # kill-child budget is drained at run granularity — the SIGKILL lands
     # between seeds, after that seed's summary and cell-span streamed.
@@ -435,7 +471,9 @@ def execute_sweep_job(compiled: CompiledNet, spec: SweepSpec, stored,
             workers=1,
             want_stats=want_stats,
             on_run=on_run,
-            backend=spec.backend,
+            # The parent's program is cached on the skeleton, so this
+            # re-resolution is a lookup; a parent fallback stays scalar.
+            backend="scalar" if program is None else spec.backend,
         )
     # Merge stored + fresh in position order; `_aggregate` folds in
     # ascending-seed order underneath, so the merged aggregates (and
@@ -913,9 +951,31 @@ class SimulationService:
                     code="internal-error",
                 )
 
-    def _prepare_explore(
-        self, spec: ExploreSpec
-    ) -> tuple[list[tuple[dict[str, Any], Any, str]], bool]:
+    def _resolve(self, compiled: CompiledNet, requested: str,
+                 want_stats: bool, compiles: list[float]):
+        """The one backend-resolution site, run in the server parent.
+
+        Resolves ``requested`` against the skeleton's safe-class
+        verdict and warms the generated loop for ``want_stats``. The
+        program stays cached on the skeleton, so every forked job child
+        inherits it ready to run, and the compiled code object stays in
+        this process's code cache: codegen is paid once per net
+        structure per server lifetime, not once per job. With fork the
+        ``compile()`` itself runs in a short-lived child, which keeps
+        the compiler's peak memory out of this long-lived process. The
+        seconds of each compile this paid are appended to ``compiles``.
+        """
+        from ..sim.lockstep import resolve_backend
+
+        started = time.perf_counter()
+        resolution = resolve_backend(compiled.template, requested)
+        program = resolution[0]
+        if program is not None and program.warm(want_stats,
+                                                isolate=self.use_fork):
+            compiles.append(time.perf_counter() - started)
+        return resolution
+
+    def _prepare_explore(self, spec: ExploreSpec, compiles: list[float]):
         """Bind and compile every grid point through the net cache.
 
         Runs on a thread *before* the job forks (via the same
@@ -923,8 +983,10 @@ class SimulationService:
         uses, so net hashes match the client's skip keys exactly), which
         means the child inherits all compiled skeletons by memory image
         and a repeated exploration of an overlapping grid hits the
-        cache. Returns the prepared ``(point, compiled, net sha)``
-        triples plus whether every point was served from cache.
+        cache. Each point's backend is resolved through :meth:`_resolve`.
+        Returns the prepared ``(point, compiled, net sha)`` triples, the
+        per-point resolutions, and whether every point was served from
+        cache.
         """
         from ..dse.explore import bind_space
 
@@ -932,8 +994,37 @@ class SimulationService:
             spec.net_source, spec.space(), self.cache,
             immediate_budget=self.immediate_budget,
         )
+        want_stats = "stats" in spec.outputs
+        resolutions = [
+            self._resolve(entry, spec.backend, want_stats, compiles)
+            for entry in compiled
+        ]
         prepared = list(zip(points, compiled, net_shas))
-        return prepared, all(outcome != "miss" for outcome in outcomes)
+        cached = all(outcome != "miss" for outcome in outcomes)
+        return prepared, resolutions, cached
+
+    def _prepare(self, spec: Any):
+        """Thread side of dispatch: find the job's net(s), resolve backends.
+
+        Returns ``(target, resolution, cached, compiles)``. A ``submit``
+        that subscribes ``trace`` output streams interpreter events, so
+        it resolves to the scalar engine without classifying the net;
+        every other job goes through :meth:`_resolve`.
+        """
+        compiles: list[float] = []
+        if isinstance(spec, ExploreSpec):
+            target, resolution, cached = self._prepare_explore(spec,
+                                                               compiles)
+            return target, resolution, cached, compiles
+        target, outcome = self.cache.lookup(spec.net_source,
+                                            self.immediate_budget)
+        if "trace" in spec.outputs:  # only a submit may stream a trace
+            resolution = (None, "scalar", "trace-output")
+        else:
+            requested = spec.backend if isinstance(spec, SweepSpec) else "auto"
+            resolution = self._resolve(target, requested,
+                                       "stats" in spec.outputs, compiles)
+        return target, resolution, outcome != "miss", compiles
 
     def _consult_store(self, job: Job, spec: Any,
                        target: Any) -> dict[int, dict[str, Any]]:
@@ -988,22 +1079,20 @@ class SimulationService:
     async def _execute(self, job: Job) -> None:
         spec = job.spec
         try:
-            if isinstance(spec, ExploreSpec):
-                target, cached = await asyncio.to_thread(
-                    self._prepare_explore, spec
-                )
-                executor: Any = execute_explore_job
-            else:
-                target, outcome = await asyncio.to_thread(
-                    self.cache.lookup, spec.net_source,
-                    self.immediate_budget
-                )
-                cached = outcome != "miss"
-                executor = (execute_sweep_job
-                            if isinstance(spec, SweepSpec) else execute_job)
+            target, resolution, cached, compiles = await asyncio.to_thread(
+                self._prepare, spec
+            )
         except PnutError as error:
             self._finish(job, None, f"net error: {error}", code="net-error")
             return
+        for seconds in compiles:
+            self.metrics.counter("codegen_compiles_total").inc()
+            self.metrics.histogram("codegen_seconds").observe(seconds)
+        executor: Any = (
+            execute_explore_job if isinstance(spec, ExploreSpec)
+            else execute_sweep_job if isinstance(spec, SweepSpec)
+            else execute_job
+        )
         job.cached = cached
         if job.state is JobState.CANCELLED:
             self._finish(job, None, None)
@@ -1012,11 +1101,11 @@ class SimulationService:
         # Grid jobs consult the shared store per attempt: a crash retry
         # (or a restart-recovered job) resumes from whatever cells the
         # previous attempt already checkpointed.
-        args: tuple = (target, spec)
+        args: tuple = (target, spec, resolution)
         if isinstance(spec, (SweepSpec, ExploreSpec)):
             stored = (self._consult_store(job, spec, target)
                       if self.store is not None else {})
-            args = (target, spec, stored)
+            args += (stored,)
 
         value: dict[str, Any] | None = None
         error_text: str | None = None

@@ -28,12 +28,18 @@ model-specialized-simulator-generation argument (PAPERS.md), this module
   :class:`~repro.analysis.stat._TimeWeighted` — bit-identical means,
   stdevs and extrema, no dict lookups, no dataclass rows.
 
-N seeds of one skeleton then execute in lockstep through this single
-compiled loop, with markings held as an (N, places) matrix
-(:class:`MarkingMatrix`; a real numpy array behind the
-``REPRO_LOCKSTEP_NUMPY=1`` feature gate, plain lists otherwise) and the
-per-seed conflict draw — plus any sampled firing delay — as the only
-divergence point between seeds.
+The N seeds of one skeleton then run one after another through this
+single compiled loop, each with its own RNG; the per-seed conflict
+draw — plus any sampled firing delay — is the only divergence point
+between seeds. The speedup is specialization plus inlined observers,
+not vectorization.
+
+**Codegen cost.** ``compile()`` of the generated module dominates
+codegen, so code objects are cached process-wide keyed on the net's
+structure. :meth:`LockstepProgram.warm` can run that ``compile()`` in a
+short-lived forked child and load the marshalled code object, which
+keeps the compiler's transient memory out of a long-lived parent such
+as ``pnut serve``.
 
 **Safe class.** The specialization is legal only when the stripped
 branches are provably dead: no transition actions, no predicates,
@@ -58,12 +64,13 @@ digests enforce this.
 from __future__ import annotations
 
 import hashlib
+import marshal
 import math
-import os
 import random
 import time
-from collections.abc import Callable, Sequence
+from collections.abc import Callable
 from dataclasses import dataclass
+from types import SimpleNamespace
 from typing import Any
 
 from ..analysis.report import statistics_payload
@@ -100,16 +107,22 @@ from .schedule import select_backend
 #: Valid ``backend=`` choices on every batch surface.
 BACKEND_CHOICES = ("auto", "scalar", "lockstep")
 
-#: Feature gate for the numpy marking matrix (storage/aggregation layer;
-#: the run loop itself always works on a plain-list row so no numpy
-#: scalar types can leak into payload floats).
-NUMPY_ENV = "REPRO_LOCKSTEP_NUMPY"
-
 #: Firing-delay distributions the generated loop can sample verbatim.
 _KNOWN_DELAYS = (ConstantDelay, DiscreteDelay, UniformDelay,
                  ExponentialDelay)
 
 _PROGRAM_ATTR = "_lockstep_program_cache"
+
+#: The skeleton attributes a program reads. The program keeps these
+#: (shared, never copied) rather than the skeleton itself: the skeleton
+#: caches its program, so a back-reference would make the pair a cycle
+#: that outlives a net-cache eviction until the cyclic GC next runs.
+_SKELETON_FIELDS = (
+    "net", "immediate_budget", "_transitions", "_tnames", "_pnames",
+    "_in_arcs", "_out_arcs", "_fire_arcs", "_start_arcs", "_watchers",
+    "_inputs_dict", "_outputs_dict", "_freq", "_draw_memo", "_deficit",
+    "_enabling_const", "_firing_const", "_max_concurrent", "_tbit",
+)
 
 
 @dataclass(frozen=True)
@@ -143,49 +156,6 @@ def classify(skeleton: Simulator) -> LockstepDecision:
                 return LockstepDecision(False, "data-delays")
             return LockstepDecision(False, "unknown-delay-type")
     return LockstepDecision(True, "ok")
-
-
-def numpy_enabled() -> bool:
-    """Whether the numpy marking-matrix path is feature-gated on (and
-    numpy is importable — the gate never introduces a hard dependency)."""
-    if os.environ.get(NUMPY_ENV, "") not in ("1", "true", "yes"):
-        return False
-    try:
-        import numpy  # noqa: F401
-    except ImportError:  # pragma: no cover - numpy is present in CI
-        return False
-    return True
-
-
-class MarkingMatrix:
-    """The (N, places) marking array of one lockstep grid.
-
-    Row ``k`` holds seed ``k``'s final marking once that seed has run
-    (rows start at the initial marking). With the :data:`NUMPY_ENV` gate
-    on this is an ``int64`` numpy matrix — vectorized cross-seed marking
-    analytics for free — otherwise a list-of-lists with the same shape.
-    """
-
-    def __init__(self, n: int, tokens0: Sequence[int]) -> None:
-        self.n = n
-        self.places = len(tokens0)
-        self.uses_numpy = numpy_enabled()
-        if self.uses_numpy:
-            import numpy
-
-            self.array = numpy.tile(
-                numpy.asarray(tokens0, dtype=numpy.int64), (n, 1)
-            )
-        else:
-            self.array = [list(tokens0) for _ in range(n)]
-
-    def store(self, index: int, row: Sequence[int]) -> None:
-        self.array[index] = row if not self.uses_numpy else row
-
-    def row(self, index: int) -> list[int]:
-        if self.uses_numpy:
-            return [int(v) for v in self.array[index]]
-        return list(self.array[index])
 
 
 def _indent(snippet: str, levels: int) -> str:
@@ -738,15 +708,50 @@ _UNROLL_MAX_TRANS = 64
 
 # Process-wide codegen caches: structurally identical nets — same arc
 # tables, same codegen flags — generate byte-identical source, so both
-# the text and its compiled code object are shared across programs.
-# This is what keeps per-job codegen off the hot path for DSE grids
-# (every bound point is the same structure with different constants)
-# and for repeated compiles of the same net in fresh skeletons. Cleared
-# wholesale at the cap; a process juggling that many distinct net
-# structures is re-paying a cost it was already paying before caching.
+# the text and its compiled code object are shared across programs,
+# keyed on that structure. This is what keeps per-job codegen off the
+# hot path for DSE grids (every bound point is the same structure with
+# different constants) and for repeated compiles of the same net in
+# fresh skeletons. Cleared wholesale at the cap; a process juggling
+# that many distinct net structures is re-paying a cost it was already
+# paying before caching.
 _CODEGEN_CACHE_CAP = 64
 _source_cache: dict[tuple, str] = {}
-_code_cache: dict[str, Any] = {}
+_code_cache: dict[tuple, Any] = {}
+
+
+def _compile(program: LockstepProgram, want_stats: bool) -> Any:
+    return compile(program.source(want_stats), "<lockstep>", "exec")
+
+
+def _marshalled_code(program: LockstepProgram, want_stats: bool,
+                     emit) -> bytes:
+    """Child side of :func:`_compile_isolated` (``emit`` is unused)."""
+    return marshal.dumps(_compile(program, want_stats))
+
+
+def _compile_isolated(program: LockstepProgram, want_stats: bool) -> Any:
+    """Generate and ``compile()`` the module in a short-lived forked child.
+
+    The child ships the code object back marshalled (~150 KB for the
+    Figure-5 loop, loaded in ~0.1 ms), so the 250 KB source text and
+    the compiler's transient memory — ~12 MB of peak RSS for that
+    module — are spent in a process that exits right away. Without
+    fork, or if the child fails for any reason, the compile runs here
+    instead: the code object is the same.
+    """
+    from .experiment import ForkedTask, fork_available
+
+    if fork_available():
+        task = ForkedTask(_marshalled_code, (program, want_stats),
+                          label="lockstep codegen")
+        try:
+            kind, payload = task.next_message()
+        finally:
+            task.join()
+        if kind == "ok":
+            return marshal.loads(payload)
+    return _compile(program, want_stats)
 
 
 def _emit_apply_leaf(ti, arcs, watch, check_negative, place_stat,
@@ -1011,6 +1016,8 @@ class LockstepProgram:
     the service's compiled-net cache and repeated sweeps pay codegen
     once per net per process. ``source(want_stats)`` exposes the
     generated text for inspection and the codegen tests.
+    :meth:`run_seed` keeps no per-run state on the program, so one
+    warm program may serve several threads at once.
     """
 
     def __init__(self, skeleton: Simulator) -> None:
@@ -1020,7 +1027,9 @@ class LockstepProgram:
                 f"net {skeleton.net.name!r} is outside the lockstep safe "
                 f"class: {decision.reason}"
             )
-        self.skeleton = skeleton
+        self._sk = SimpleNamespace(**{
+            name: getattr(skeleton, name) for name in _SKELETON_FIELDS
+        })
         self.decision = decision
         backend, ring_size = select_backend(skeleton._transitions)
         self.scheduler = backend
@@ -1044,14 +1053,13 @@ class LockstepProgram:
         )
         self._fns: dict[bool, Callable] = {}
         self._sources: dict[bool, str] = {}
-        self._rng = random.Random()
         self._init_cache: tuple[dict, bytes] | None = None
         self._eot_cache: tuple[float, bytes] | None = None
 
     # -- codegen ----------------------------------------------------------
 
     def _stat_ops(self):
-        sk = self.skeleton
+        sk = self._sk
         n = len(sk._tnames)
         sops_s = [
             tuple((pi, -w) for pi, w in sk._in_arcs[ti]) for ti in range(n)
@@ -1061,34 +1069,40 @@ class LockstepProgram:
         ]
         return sops_s, sops_e
 
+    def _codegen_key(self, want_stats: bool):
+        """``(cache key, unrolled tables)`` of the generated module.
+
+        The generated text depends only on the net's *structure* (arc
+        tables and the codegen flags) — numeric constants travel
+        through the exec globals — so structurally identical nets
+        (e.g. every point of a DSE grid over delays/tokens) share one
+        key, one source string and one compiled code object.
+        """
+        sk = self._sk
+        tables = None
+        key_tables = None
+        if 0 < len(sk._tnames) <= _UNROLL_MAX_TRANS:
+            sops_s, sops_e = self._stat_ops()
+            tables = {
+                "FIREA": sk._fire_arcs,
+                "STARTA": sk._start_arcs,
+                "OUTA": sk._out_arcs,
+                "WATCH": sk._watchers,
+                "SOPS_S": sops_s,
+                "SOPS_E": sops_e,
+            }
+            key_tables = tuple(
+                tuple(tuple(row) for row in tables[name])
+                for name in ("FIREA", "STARTA", "OUTA", "WATCH",
+                             "SOPS_S", "SOPS_E")
+            )
+        key = (self.scheduler == "bucket", want_stats,
+               self._zero_enabling, self._no_caps, key_tables)
+        return key, tables
+
     def source(self, want_stats: bool = True) -> str:
         if want_stats not in self._sources:
-            sk = self.skeleton
-            tables = None
-            key_tables = None
-            if 0 < len(sk._tnames) <= _UNROLL_MAX_TRANS:
-                sops_s, sops_e = self._stat_ops()
-                tables = {
-                    "FIREA": sk._fire_arcs,
-                    "STARTA": sk._start_arcs,
-                    "OUTA": sk._out_arcs,
-                    "WATCH": sk._watchers,
-                    "SOPS_S": sops_s,
-                    "SOPS_E": sops_e,
-                }
-                key_tables = tuple(
-                    tuple(tuple(row) for row in tables[name])
-                    for name in ("FIREA", "STARTA", "OUTA", "WATCH",
-                                 "SOPS_S", "SOPS_E")
-                )
-            # The generated text depends only on the net's *structure*
-            # (arc tables and the codegen flags) — numeric constants
-            # travel through the exec globals — so structurally
-            # identical nets (e.g. every point of a DSE grid over
-            # delays/tokens) share one source string and, below, one
-            # compiled code object.
-            key = (self.scheduler == "bucket", want_stats,
-                   self._zero_enabling, self._no_caps, key_tables)
+            key, tables = self._codegen_key(want_stats)
             cached = _source_cache.get(key)
             if cached is None:
                 cached = _generate_source(
@@ -1102,7 +1116,7 @@ class LockstepProgram:
         return self._sources[want_stats]
 
     def _globals(self) -> dict[str, Any]:
-        sk = self.skeleton
+        sk = self._sk
         tags = {
             "INIT": b"I", "START": b"S", "END": b"E", "FIRE": b"F",
         }
@@ -1195,30 +1209,42 @@ class LockstepProgram:
     def _fn(self, want_stats: bool) -> Callable:
         fn = self._fns.get(want_stats)
         if fn is None:
-            source = self.source(want_stats)
-            # compile() of the generated module is the expensive step
-            # (~40 ms); key the code object on the source text so the
-            # cost is paid once per net *structure* per process, not
-            # once per program (string hashes are cached by CPython, so
-            # repeat lookups are O(1)).
-            code = _code_cache.get(source)
-            if code is None:
-                code = compile(source, "<lockstep>", "exec")
-                if len(_code_cache) >= _CODEGEN_CACHE_CAP:
-                    _code_cache.clear()
-                _code_cache[source] = code
-            namespace = self._globals()
-            exec(code, namespace)
-            fn = namespace["lockstep_run"]
-            self._fns[want_stats] = fn
+            self.warm(want_stats)
+            fn = self._fns[want_stats]
         return fn
 
-    # -- execution --------------------------------------------------------
+    def warm(self, want_stats: bool, isolate: bool = False) -> bool:
+        """Build the run loop for ``want_stats`` now, once per program.
 
-    def matrix(self, n: int) -> MarkingMatrix:
-        """The grid's (N, places) marking matrix, rows at the initial
-        marking until their seed completes."""
-        return MarkingMatrix(n, self._tokens0)
+        Returns True when this call paid the ``compile()`` of the
+        generated module (~25-55 ms for Figure 5) and False when the
+        loop was already built or its code object was already in the
+        process-wide cache. That cache is keyed on the net's structure
+        (:meth:`_codegen_key`), so ``compile()`` is paid once per net
+        *structure* per process, not once per program. ``isolate=True``
+        generates and compiles in a forked child (see
+        :func:`_compile_isolated`), for long-lived processes whose peak
+        RSS matters.
+        """
+        if want_stats in self._fns:
+            return False
+        key = self._codegen_key(want_stats)[0]
+        code = _code_cache.get(key)
+        compiled = code is None
+        if compiled:
+            code = (_compile_isolated(self, want_stats) if isolate
+                    else _compile(self, want_stats))
+            if len(_code_cache) >= _CODEGEN_CACHE_CAP:
+                _code_cache.clear()
+            _code_cache[key] = code
+        namespace = self._globals()
+        exec(code, namespace)
+        # Popped, not read: the function's globals are this namespace,
+        # and leaving it there would be a reference cycle.
+        self._fns[want_stats] = namespace.pop("lockstep_run")
+        return compiled
+
+    # -- execution --------------------------------------------------------
 
     def run_seed(
         self,
@@ -1229,15 +1255,12 @@ class LockstepProgram:
         want_stats: bool,
         metrics: dict[str, Callable[[SimulationResult], float]],
         stat_metrics: dict[str, Callable[[TraceStatistics], float]],
-        matrix: MarkingMatrix | None = None,
-        index: int = 0,
     ):
         """Run one seed through the compiled loop.
 
         Returns the same ``(SweepRunSummary, values)`` pair as
         :func:`repro.sim.sweep._sweep_one` — bit-identical trace digest,
-        statistics payload and metric values. ``matrix`` (when given)
-        receives the final marking in row ``index``.
+        statistics payload and metric values.
         """
         from .sweep import SweepRunSummary
 
@@ -1247,10 +1270,11 @@ class LockstepProgram:
             # refusing here keeps error behavior aligned across backends
             # instead of silently returning an empty run.
             raise TraceError(f"trace time went backwards at {until}")
-        sk = self.skeleton
+        sk = self._sk
         need_stats = want_stats or bool(stat_metrics)
-        rng = self._rng
-        rng.seed(seed)
+        # A per-call RNG (same stream as reseeding a shared one) keeps
+        # concurrent runs on one program from interleaving draws.
+        rng = random.Random(seed)
         env = sk.net.initial_environment(rng=rng)
         header = TraceHeader(sk.net.name, run_number, seed)
         sha = hashlib.sha256(encode_header(header))
@@ -1278,8 +1302,6 @@ class LockstepProgram:
                          encode_event(TraceEvent.eot(0, final_time)))
             self._eot_cache = eot_cache
         sha.update(eot_cache[1])
-        if matrix is not None:
-            matrix.store(index, tokens)
 
         values: dict[str, float] = {}
         if metrics:

@@ -416,15 +416,12 @@ def run_sweep(
         selected, reason = "scalar", "resumed"
 
     if program is not None:
-        matrix = program.matrix(len(run_positions))
-
         def run_one(
             slot: int,
         ) -> tuple[SweepRunSummary, dict[str, float]]:
             return program.run_seed(
                 seeds[run_positions[slot]], run_number, until, max_events,
                 want_stats, metrics, stat_metrics,
-                matrix=matrix, index=slot,
             )
     else:
         def run_one(

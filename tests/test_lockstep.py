@@ -12,6 +12,9 @@ tree for small nets, generic loops beyond the unroll cap, one compiled
 program per skeleton).
 """
 
+import sys
+import threading
+
 import pytest
 
 from repro.core.builder import NetBuilder
@@ -28,7 +31,7 @@ from repro.sim import (
     resolve_backend,
     run_sweep,
 )
-from repro.sim.lockstep import _UNROLL_MAX_TRANS, MarkingMatrix
+from repro.sim.lockstep import _UNROLL_MAX_TRANS
 from repro.sim.sweep import _sweep_one
 
 
@@ -184,29 +187,41 @@ class TestSweepIdentity:
         with pytest.raises(TraceError, match="backwards"):
             program.run_seed(1, 1, -1.0, None, True, {}, {})
 
-    def test_marking_matrix_rows_hold_final_markings(self):
-        skeleton = Simulator(build_pipeline_net())
-        program = compile_lockstep(skeleton)
-        seeds = [1, 2, 3]
-        matrix = program.matrix(len(seeds))
-        assert not matrix.uses_numpy  # feature-gated off by default
-        for index, seed in enumerate(seeds):
-            program.run_seed(seed, 1, 50.0, None, False, {}, {},
-                             matrix=matrix, index=index)
-        for index, seed in enumerate(seeds):
-            sim = Simulator(build_pipeline_net(), seed=seed)
-            final = sim.run(until=50.0).final_marking
-            expected = [final.get(name, 0) for name in program._pnames]
-            assert matrix.row(index) == expected
+    def test_run_seed_is_reentrant_across_threads(self):
+        # A warm program is shared by every job of one net in a server,
+        # and jobs run on threads where fork is unavailable.
+        program = compile_lockstep(Simulator(build_pipeline_net()))
+        seeds = [1, 2, 3, 4, 5, 6]
 
-    def test_numpy_matrix_gate(self, monkeypatch):
-        pytest.importorskip("numpy")
-        monkeypatch.setenv("REPRO_LOCKSTEP_NUMPY", "1")
-        matrix = MarkingMatrix(2, [1, 0, 3])
-        assert matrix.uses_numpy
-        matrix.store(1, [4, 5, 6])
-        assert matrix.row(1) == [4, 5, 6]
-        assert matrix.row(0) == [1, 0, 3]
+        def run(seed):
+            return program.run_seed(seed, 1, 500.0, None, True, {},
+                                    {})[0].to_payload()
+
+        serial = {seed: run(seed) for seed in seeds}
+        # Switch threads as often as the interpreter allows, so the two
+        # threads' runs interleave inside the generated loop.
+        previous = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        results: dict[int, list] = {seed: [] for seed in seeds}
+        barrier = threading.Barrier(2)
+
+        def worker(chunk):
+            barrier.wait()
+            for _ in range(4):
+                for seed in chunk:
+                    results[seed].append(run(seed))
+
+        threads = [threading.Thread(target=worker, args=(seeds[i::2],))
+                   for i in range(2)]
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join()
+        finally:
+            sys.setswitchinterval(previous)
+        for seed in seeds:
+            assert results[seed] == [serial[seed]] * 4
 
 
 # ---------------------------------------------------------------------------

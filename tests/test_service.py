@@ -447,6 +447,144 @@ class TestServerEndToEnd:
         assert a.trace_sha256 != b.trace_sha256
 
 
+# ---------------------------------------------------------------------------
+# Backend selection for submits: compiled when stats-only and safe
+# ---------------------------------------------------------------------------
+
+#: Outside the lockstep safe class: a transition action.
+ACTION_NET = """\
+net actco
+var x = 0
+place a = 2
+work [fire=1, action: x = x + 1]: a -> a
+"""
+
+
+def _counters(client):
+    return client.metrics()["metrics"]["counters"]
+
+
+def _delta(before, after, name):
+    return after.get(name, 0) - before.get(name, 0)
+
+
+def _sweep_one_run(until, max_events, seed):
+    from repro.sim.sweep import _sweep_one
+
+    run, _values = _sweep_one(Simulator(build_pipeline_net()), seed, 1,
+                              until, max_events, True, {}, {})
+    return run
+
+
+def _assert_same_run(result, run):
+    assert result.trace_sha256 == run.trace_sha256
+    for field in ("final_time", "events_started", "events_finished",
+                  "trace_events"):
+        assert result.summary[field] == getattr(run, field)
+    assert result.stats_json() == canonical_json(run.stats)
+
+
+class TestSubmitBackend:
+    def test_stats_submits_run_compiled_and_byte_identical(self, server,
+                                                           pipeline_source):
+        cases = [(2_000.0, None, 1), (2_000.0, None, 7),
+                 (2_000.0, None, 1988), (None, 3_000, 11)]
+        with server.client() as client:
+            before = _counters(client)
+            results = [
+                client.submit(pipeline_source, until=until,
+                              max_events=max_events, seed=seed)
+                for until, max_events, seed in cases
+            ]
+            after = _counters(client)
+        for (until, max_events, seed), result in zip(cases, results):
+            _assert_same_run(result, _sweep_one_run(until, max_events, seed))
+        assert _delta(before, after,
+                      "submit_backend_lockstep_total") == len(cases)
+        assert _delta(before, after, "submit_backend_scalar_total") == 0
+
+    def test_trace_submit_stays_on_the_interpreter(self, server,
+                                                   pipeline_source):
+        with server.client() as client:
+            before = _counters(client)
+            result = client.submit(
+                pipeline_source, until=400, seed=5,
+                outputs=("stats", "trace"), collect_trace=True,
+            )
+            after = _counters(client)
+        code, cli_text = run_cli(
+            ["sim", "-", "--until", "400", "--seed", "5"],
+            stdin_text=pipeline_source,
+        )
+        assert code == 0
+        assert "\n".join(result.trace_lines) + "\n" == cli_text
+        _assert_same_run(result, _sweep_one_run(400.0, None, 5))
+        assert _delta(before, after, "submit_backend_scalar_total") == 1
+        assert _delta(before, after,
+                      "submit_backend_fallback_trace_output_total") == 1
+
+    def test_action_net_falls_back_with_counted_reason(self, server):
+        with server.client() as client:
+            before = _counters(client)
+            result = client.submit(ACTION_NET, until=50, seed=3)
+            after = _counters(client)
+        local = simulate(parse_net(ACTION_NET), until=50, seed=3)
+        assert result.stats_json() == canonical_json(
+            statistics_payload(compute_statistics(local.events))
+        )
+        assert _delta(before, after, "submit_backend_scalar_total") == 1
+        assert _delta(
+            before, after,
+            "submit_backend_fallback_transition_actions_total",
+        ) == 1
+
+    @pytest.mark.skipif(not fork_available(), reason="platform lacks fork")
+    def test_kill_child_lands_between_runs_and_retries_identically(
+            self, monkeypatch, tmp_path, pipeline_source):
+        from repro.service.faults import FAULTS_ENV, STATE_DIR_ENV
+
+        # The compiled loop has no per-event observers: the kill-child
+        # budget drains after the run, before the result is reported.
+        monkeypatch.setenv(FAULTS_ENV, "kill-child=500:once")
+        monkeypatch.setenv(STATE_DIR_ENV, str(tmp_path))
+        retries = []
+        thread = ServerThread(workers=1)
+        try:
+            with thread.client() as client:
+                result = client.submit(pipeline_source, until=2_000,
+                                       seed=1988, on_retry=retries.append)
+                counters = _counters(client)
+        finally:
+            thread.stop()
+        assert len(retries) == 1
+        assert "SIGKILL" in retries[0]["error"]
+        _assert_same_run(result, _sweep_one_run(2_000.0, None, 1988))
+        # Only the retried attempt lived to report its obs deltas.
+        assert counters["submit_backend_lockstep_total"] == 1
+
+    def test_codegen_is_paid_once_per_server(self, monkeypatch,
+                                             pipeline_source):
+        from repro.sim import lockstep
+
+        # Earlier tests in this process compiled Figure 5 already.
+        monkeypatch.setattr(lockstep, "_code_cache", {})
+        thread = ServerThread(workers=2)
+        try:
+            with thread.client() as client:
+                for seed in (1, 2, 3):
+                    client.submit(pipeline_source, until=200, seed=seed)
+                    client.sweep(pipeline_source, [seed, seed + 10],
+                                 until=200)
+                snapshot = client.metrics()["metrics"]
+        finally:
+            thread.stop()
+        counters = snapshot["counters"]
+        assert counters["codegen_compiles_total"] == 1
+        assert snapshot["histograms"]["codegen_seconds"]["count"] == 1
+        assert counters["submit_backend_lockstep_total"] == 3
+        assert counters["sweep_backend_lockstep_total"] == 3
+
+
 @pytest.mark.skipif(not fork_available(), reason="platform lacks fork")
 class TestCancellationAndBackpressure:
     def test_running_and_queued_jobs_cancel(self):
