@@ -62,9 +62,11 @@ obs-smoke:
 spans-smoke:
 	$(PYTHON) -m repro.obs.spans_smoke
 
-## the benchmark/experiment suite only
+## the benchmark/experiment suite only; this target, and no other,
+## records its measurements to BENCH_engine.json (BENCH_RECORD=1) —
+## `make test` and plain pytest runs leave the trajectory as committed
 bench:
-	$(PYTHON) -m pytest benchmarks -q
+	BENCH_RECORD=1 $(PYTHON) -m pytest benchmarks -q
 
 ## smoke check: benchmarks must collect cleanly and the perf-trajectory
 ## file (BENCH_engine.json) must satisfy its schema

@@ -1,8 +1,9 @@
 """Summarize the ``BENCH_engine.json`` perf trajectory as one table.
 
-Every benchmark module appends measurement records to the trajectory
-file (see ``conftest.append_trajectory``); this tool reduces the
-history to a per-metric view — first recorded value, latest value, and
+Under ``make bench`` (``BENCH_RECORD=1``) every benchmark module
+appends measurement records to the trajectory file (see
+``conftest.append_trajectory``); other runs, tier-1 included, leave the
+file as committed. This tool reduces the history to a per-metric view — first recorded value, latest value, and
 the latest/first speedup — so the perf story of the repo is readable
 without opening the JSON::
 

@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 
 import bench_report
+import conftest
 
 
 HISTORY = [
@@ -207,3 +208,28 @@ class TestCheck:
     def test_repo_trajectory_is_clean(self, capsys):
         assert bench_report.main(["--check"]) == 0
         assert "no same-runner regressions" in capsys.readouterr().out
+
+
+class TestRecordOptIn:
+    """``append_trajectory`` writes only under ``BENCH_RECORD=1``."""
+
+    def _copy(self, tmp_path, monkeypatch):
+        path = tmp_path / "BENCH_engine.json"
+        path.write_text(json.dumps([_rec(1, "box-a", runs_per_sec=5.0)]))
+        monkeypatch.setattr(conftest, "BENCH_JSON", path)
+        return path
+
+    def test_unset_leaves_file_untouched(self, tmp_path, monkeypatch):
+        path = self._copy(tmp_path, monkeypatch)
+        before = path.read_bytes()
+        monkeypatch.delenv("BENCH_RECORD", raising=False)
+        conftest.append_trajectory(_rec(2, "box-a", runs_per_sec=6.0))
+        assert path.read_bytes() == before
+
+    def test_set_appends_one_record(self, tmp_path, monkeypatch):
+        path = self._copy(tmp_path, monkeypatch)
+        monkeypatch.setenv("BENCH_RECORD", "1")
+        conftest.append_trajectory(_rec(2, "box-a", runs_per_sec=6.0))
+        history = json.loads(path.read_text())
+        assert len(history) == 2
+        assert history[-1]["runs_per_sec"] == 6.0

@@ -1,11 +1,12 @@
 """Schema gate for the perf-trajectory file (``BENCH_engine.json``).
 
-Every benchmark module appends one record per run via
-``conftest.append_trajectory``; future PRs read the file to compare
-against the recorded trajectory. A malformed append — missing keys, a
-non-ISO timestamp, clock skew producing out-of-order records — would
-silently poison those comparisons, so this module (run by
-``make bench-co`` and therefore by CI) fails fast instead.
+Under ``make bench`` (``BENCH_RECORD=1``) every benchmark module
+appends one record per run via ``conftest.append_trajectory``; future
+PRs read the file to compare against the recorded trajectory. A
+malformed append — missing keys, a non-ISO timestamp, clock skew
+producing out-of-order records — would silently poison those
+comparisons, so this module (run by ``make bench-co`` and therefore by
+CI) fails fast instead.
 
 The schema is deliberately small: the *common* envelope every record
 must carry, plus shape checks on the measurements. Individual benchmark
