@@ -85,12 +85,15 @@ bench-report:
 ## the randomized differential harness at CI strength: hypothesis's
 ## `ci` profile (more examples, derandomized so a red run reproduces
 ## locally with HYPOTHESIS_PROFILE=ci), slowest examples printed —
-## scalar-bucket vs scalar-heap vs lockstep must stay bit-identical
+## scalar-bucket vs scalar-heap vs lockstep must stay bit-identical,
+## and the grid orchestration (seed lists, stored subsets, workers,
+## backends) must reproduce a cold scalar run cell for cell
 differential:
 	HYPOTHESIS_PROFILE=ci $(PYTHON) -m pytest -q --durations=10 \
 	    tests/test_schedule_differential.py \
 	    tests/test_lockstep.py \
-	    tests/test_properties.py
+	    tests/test_properties.py \
+	    tests/test_grid.py
 
 ## tier-1 under coverage.py (pinned in requirements-dev.txt; config
 ## .coveragerc): line coverage over src/repro with an 80% floor, plus

@@ -37,12 +37,15 @@ from typing import TYPE_CHECKING, Any
 
 from ..analysis.stat import TraceStatistics
 from ..sim.engine import SimulationResult
-from ..sim.experiment import (
-    MetricSummary,
-    fork_available,
-    map_chunked_forked,
+from ..sim.experiment import MetricSummary
+from ..sim.sweep import (
+    backend_counts,
+    cell_payload,
+    grid_cells,
+    grid_sha256,
+    run_grid,
+    scan_store,
 )
-from ..sim.sweep import _sweep_one
 from .frontier import (
     Objective,
     aggregate_cells,
@@ -126,10 +129,9 @@ class ExplorationResult:
     def cells_sha256(self) -> str:
         """One digest pinning every cell's trace, independent of seed
         order: per-cell trace digests folded in (point, seed) order."""
-        ordered = sorted(self.cells,
-                         key=lambda cell: (cell.point_index, cell.seed))
-        joined = "".join(cell.payload["trace_sha256"] for cell in ordered)
-        return hashlib.sha256(joined.encode("ascii")).hexdigest()
+        return grid_sha256((cell.point_index, cell.seed,
+                            cell.payload["trace_sha256"])
+                           for cell in self.cells)
 
     def frontier(self, objectives: Sequence[Objective]) -> dict[str, Any]:
         return frontier_payload(self.points, self.point_metrics(),
@@ -224,50 +226,6 @@ def bind_sources(
         for source in sources
     ]
     return points, sources, net_shas
-
-
-def grid_cells(n_points: int,
-               seeds: Sequence[int]) -> list[tuple[int, int]]:
-    """The (point_index, seed) grid in canonical point-major order."""
-    return [(point_index, seed)
-            for point_index in range(n_points) for seed in seeds]
-
-
-def scan_store(
-    store: ResultStore | None,
-    grid: Sequence[tuple[int, int]],
-    net_shas: Sequence[str],
-    point_keys: Sequence[str],
-    stop: str,
-) -> dict[int, dict[str, Any]]:
-    """Cell payloads the store already holds, keyed by grid index."""
-    stored: dict[int, dict[str, Any]] = {}
-    if store is not None:
-        for index, (point_index, seed) in enumerate(grid):
-            payload = store.get(net_shas[point_index],
-                                point_keys[point_index], seed, stop)
-            if payload is not None:
-                stored[index] = payload
-    return stored
-
-
-def _contiguous_chunks(positions: list[int], workers: int) -> list[list[int]]:
-    """Split positions into ``workers`` contiguous, near-equal chunks.
-
-    Contiguity is deliberate: cells are enumerated point-major, so a
-    contiguous chunk keeps consecutive seeds of one point on one worker
-    and each child touches as few compiled skeletons as possible.
-    """
-    n = len(positions)
-    workers = min(workers, n)
-    base, extra = divmod(n, workers)
-    chunks: list[list[int]] = []
-    start = 0
-    for w in range(workers):
-        size = base + (1 if w < extra else 0)
-        chunks.append(positions[start:start + size])
-        start += size
-    return chunks
 
 
 def assemble_exploration(
@@ -368,116 +326,46 @@ def run_exploration(
     :func:`~repro.sim.sweep.run_sweep`, resolved per *point* (each
     bound template compiles separately, so safe-class eligibility can
     differ across points); cell payloads are bit-identical either way.
+    The cells run through :func:`~repro.sim.sweep.run_grid`, the core
+    :func:`~repro.sim.sweep.run_sweep` shares.
     """
     seeds = list(seeds)
-    if not seeds:
-        raise ValueError("need at least one seed")
-    if not all(isinstance(seed, int) and not isinstance(seed, bool)
-               for seed in seeds):
-        raise ValueError("exploration seeds must be integers")
-    if until is None and max_events is None:
-        raise ValueError("provide until=, max_events=, or both")
-    if workers < 1:
-        raise ValueError("need at least one worker")
-    metrics = dict(metrics or {})
-    stat_metrics = dict(stat_metrics or {})
-    overlap = metrics.keys() & stat_metrics.keys()
-    if overlap:
-        raise ValueError(f"metric names declared twice: {sorted(overlap)}")
-
     points, compiled, net_shas, _cache_outcomes = bind_space(
         template, space, cache
     )
-    skey = stop_key(until, max_events, run_number, want_stats,
-                    list(metrics) + list(stat_metrics))
-    n_seeds = len(seeds)
     grid = grid_cells(len(points), seeds)
-    point_keys = [point_key(point) for point in points]
 
-    outcomes: dict[int, CellOutcome] = {}
-    for index, payload in scan_store(store, grid, net_shas, point_keys,
-                                     skey).items():
+    def outcome(index: int, pair, stored: bool) -> CellOutcome:
         point_index, seed = grid[index]
-        outcomes[index] = CellOutcome(
-            index=index, point_index=point_index, seed=seed,
-            payload=payload, stored=True,
-        )
-    missing = [index for index in range(len(grid))
-               if index not in outcomes]
+        return CellOutcome(index=index, point_index=point_index, seed=seed,
+                           payload=cell_payload(pair), stored=stored)
 
-    from ..sim.lockstep import resolve_backend
+    def stream(index: int, pair, stored: bool) -> None:
+        # Only fresh cells stream; stored ones come back on the result.
+        if not stored:
+            on_cell(outcome(index, pair, stored))
 
-    resolutions = [
-        resolve_backend(entry.template, backend) for entry in compiled
-    ]
-
-    def run_cell(index: int) -> dict[str, Any]:
-        point_index, seed = grid[index]
-        program = resolutions[point_index][0]
-        if program is not None:
-            summary, values = program.run_seed(
-                seed, run_number, until, max_events, want_stats,
-                metrics, stat_metrics,
-            )
-        else:
-            summary, values = _sweep_one(
-                compiled[point_index].template, seed, run_number, until,
-                max_events, want_stats, metrics, stat_metrics,
-            )
-        payload = summary.to_payload()
-        if values:
-            payload["metrics"] = {
-                name: float(value) for name, value in values.items()
-            }
-        return payload
-
-    def settle(index: int, payload: dict[str, Any]) -> None:
-        point_index, seed = grid[index]
-        outcome = CellOutcome(index=index, point_index=point_index,
-                              seed=seed, payload=payload)
-        outcomes[index] = outcome
-        if store is not None:
-            store.put(net_shas[point_index], point_keys[point_index],
-                      seed, skey, payload)
-        if on_cell is not None:
-            on_cell(outcome)
-
-    workers = min(workers, max(1, len(missing)))
-    if missing and workers > 1 and fork_available():
-        collected = map_chunked_forked(
-            run_cell,
-            _contiguous_chunks(missing, workers),
-            on_result=settle,
-            label="explore worker",
-        )
-        lost = [index for index in missing if index not in collected]
-        if lost:
-            raise RuntimeError(
-                f"explore workers returned no result for cells {lost}"
-            )
-    else:
-        for index in missing:
-            settle(index, run_cell(index))
-
+    run = run_grid(
+        "explore", [entry.template for entry in compiled], seeds, until,
+        max_events, run_number, workers, want_stats, metrics, stat_metrics,
+        backend, store, (net_shas, [point_key(point) for point in points]),
+        on_cell=None if on_cell is None else stream,
+    )
     result = ExplorationResult(
         points=points,
         seeds=seeds,
         sources=[entry.source for entry in compiled],
         net_shas=net_shas,
-        stop=skey,
-        cells=[outcomes[index] for index in range(len(grid))],
+        stop=run.stop,
+        cells=[outcome(index, pair, index in run.stored)
+               for index, pair in enumerate(run.pairs)],
         confidence=confidence,
     )
-    assert len(result.cells) == len(points) * n_seeds
     if registry is not None:
         registry.counter("dse_cells_run_total").inc(result.fresh_cells)
         registry.counter("dse_cells_stored_total").inc(result.stored_cells)
         registry.counter("dse_points_total").inc(len(points))
-        for _program, selected, reason in resolutions:
-            registry.counter(f"explore_backend_{selected}_total").inc()
-            if reason not in ("ok", "requested"):
-                registry.counter(
-                    "explore_backend_fallback_"
-                    f"{reason.replace('-', '_')}_total"
-                ).inc()
+        for name, count in backend_counts("explore",
+                                          run.resolutions).items():
+            registry.counter(name).inc(count)
     return result

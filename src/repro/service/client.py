@@ -261,6 +261,43 @@ class ServiceClient:
                                   frame.get("code", "error"))
             return frame
 
+    def _send_spec(self, spec) -> tuple[int, dict[str, Any]]:
+        """Send one job spec; return ``(request id, accepted frame)``."""
+        request_id = self._request(spec.op, **spec.to_payload())
+        accepted = self._wait(request_id, f"{spec.op} sent, not yet accepted")
+        if accepted.get("type") != "accepted":
+            raise ServiceError(f"expected accepted frame, got {accepted!r}")
+        return request_id, accepted
+
+    def _run_grid(self, spec, channel: str, field: str,
+                  on_frame: Callable[[dict[str, Any]], None] | None):
+        """Send a grid spec and collect its cell frames until the result.
+
+        Returns ``(job id, accepted frame, result frame, {index:
+        payload})``. A ``retry`` frame drops the cells collected so far:
+        the retried attempt restreams every cell.
+        """
+        request_id, accepted = self._send_spec(spec)
+        job_id = accepted["job"]
+        cells: dict[int, dict[str, Any]] = {}
+        while True:
+            frame = self._wait(
+                request_id, f"{spec.op} {job_id}: {len(cells)} cells seen"
+            )
+            kind = frame.get("type")
+            if kind == channel:
+                cells[frame["index"]] = frame[field]
+                if on_frame is not None:
+                    on_frame(frame)
+            elif kind == "retry":
+                cells.clear()
+            elif kind == "result":
+                return job_id, accepted, frame, cells
+            else:
+                raise ServiceError(
+                    f"unexpected frame {kind!r} while waiting for {job_id}"
+                )
+
     def close(self) -> None:
         try:
             self._file.close()
@@ -385,11 +422,7 @@ class ServiceClient:
         on_retry: Callable[[dict[str, Any]], None] | None,
         collect_trace: bool,
     ) -> JobResult:
-        last_state = "submit sent, not yet accepted"
-        request_id = self._request("submit", **spec.to_payload())
-        accepted = self._wait(request_id, last_state)
-        if accepted.get("type") != "accepted":
-            raise ServiceError(f"expected accepted frame, got {accepted!r}")
+        request_id, accepted = self._send_spec(spec)
         job_id = accepted["job"]
         last_state = f"job {job_id} accepted"
         trace_lines: list[str] | None = [] if collect_trace else None
@@ -469,44 +502,26 @@ class ServiceClient:
             key=key,
             backend=backend,
         )
-        request_id = self._request("sweep", **spec.to_payload())
-        accepted = self._wait(request_id, "sweep sent, not yet accepted")
-        if accepted.get("type") != "accepted":
-            raise ServiceError(f"expected accepted frame, got {accepted!r}")
-        job_id = accepted["job"]
-        runs: dict[int, dict[str, Any]] = {}
-        while True:
-            frame = self._wait(
-                request_id, f"sweep {job_id}: {len(runs)} runs seen"
+        job_id, accepted, frame, runs = self._run_grid(
+            spec, "sweep-run", "run",
+            None if on_run is None
+            else lambda frame: on_run(frame["index"], frame["run"]),
+        )
+        missing = [i for i in range(len(spec.seeds)) if i not in runs]
+        if missing:
+            raise ServiceError(
+                f"sweep {job_id} finished without runs {missing}"
             )
-            kind = frame.get("type")
-            if kind == "sweep-run":
-                index = frame["index"]
-                runs[index] = frame["run"]
-                if on_run is not None:
-                    on_run(index, frame["run"])
-            elif kind == "retry":
-                runs.clear()  # the retried attempt restreams every run
-            elif kind == "result":
-                missing = [i for i in range(len(spec.seeds)) if i not in runs]
-                if missing:
-                    raise ServiceError(
-                        f"sweep {job_id} finished without runs {missing}"
-                    )
-                return SweepOutcome(
-                    job_id=job_id,
-                    cached=bool(frame.get("cached")),
-                    summary=frame.get("summary", {}),
-                    aggregates=frame.get("aggregates", {}),
-                    runs=[runs[i] for i in range(len(spec.seeds))],
-                    trace_id=frame.get("trace"),
-                    recovered=bool(frame.get("recovered")
-                                   or accepted.get("recovered")),
-                )
-            else:
-                raise ServiceError(
-                    f"unexpected frame {kind!r} while waiting for {job_id}"
-                )
+        return SweepOutcome(
+            job_id=job_id,
+            cached=bool(frame.get("cached")),
+            summary=frame.get("summary", {}),
+            aggregates=frame.get("aggregates", {}),
+            runs=[runs[i] for i in range(len(spec.seeds))],
+            trace_id=frame.get("trace"),
+            recovered=bool(frame.get("recovered")
+                           or accepted.get("recovered")),
+        )
 
     def explore(
         self,
@@ -549,49 +564,32 @@ class ServiceClient:
             key=key,
             backend=backend,
         )
-        request_id = self._request("explore", **spec.to_payload())
-        accepted = self._wait(request_id, "explore sent, not yet accepted")
-        if accepted.get("type") != "accepted":
-            raise ServiceError(f"expected accepted frame, got {accepted!r}")
-        job_id = accepted["job"]
-        cells: dict[int, dict[str, Any]] = {}
-        while True:
-            frame = self._wait(
-                request_id, f"explore {job_id}: {len(cells)} cells seen"
+        job_id, accepted, frame, cells = self._run_grid(
+            spec, "explore-cell", "cell",
+            None if on_cell is None
+            else lambda frame: on_cell(frame["index"], frame["point"],
+                                       frame["cell"]),
+        )
+        summary = frame.get("summary", {})
+        expected = summary.get("cells_run")
+        if expected is not None:
+            # Store-resumed cells stream as explore-cell frames too, so
+            # the client sees fresh + resumed together.
+            expected += int(summary.get("resumed_cells", 0))
+        if expected is not None and expected != len(cells):
+            raise ServiceError(
+                f"exploration {job_id} finished with "
+                f"{len(cells)} of {expected} cells"
             )
-            kind = frame.get("type")
-            if kind == "explore-cell":
-                index = frame["index"]
-                cells[index] = frame["cell"]
-                if on_cell is not None:
-                    on_cell(index, frame["point"], frame["cell"])
-            elif kind == "retry":
-                cells.clear()  # the retried attempt restreams every cell
-            elif kind == "result":
-                summary = frame.get("summary", {})
-                expected = summary.get("cells_run")
-                if expected is not None:
-                    # Store-resumed cells stream as explore-cell frames
-                    # too, so the client sees fresh + resumed together.
-                    expected += int(summary.get("resumed_cells", 0))
-                if expected is not None and expected != len(cells):
-                    raise ServiceError(
-                        f"exploration {job_id} finished with "
-                        f"{len(cells)} of {expected} cells"
-                    )
-                return ExploreOutcome(
-                    job_id=job_id,
-                    cached=bool(frame.get("cached")),
-                    summary=summary,
-                    cells=cells,
-                    trace_id=frame.get("trace"),
-                    recovered=bool(frame.get("recovered")
-                                   or accepted.get("recovered")),
-                )
-            else:
-                raise ServiceError(
-                    f"unexpected frame {kind!r} while waiting for {job_id}"
-                )
+        return ExploreOutcome(
+            job_id=job_id,
+            cached=bool(frame.get("cached")),
+            summary=summary,
+            cells=cells,
+            trace_id=frame.get("trace"),
+            recovered=bool(frame.get("recovered")
+                           or accepted.get("recovered")),
+        )
 
     def explore_nowait(self, net_source: str, params: dict[str, Any],
                        seeds, **kwargs: Any) -> str:
@@ -603,11 +601,7 @@ class ServiceClient:
         """
         spec = ExploreSpec(net_source=net_source, params=params,
                            seeds=tuple(seeds), **kwargs)
-        request_id = self._request("explore", **spec.to_payload())
-        accepted = self._wait(request_id)
-        if accepted.get("type") != "accepted":
-            raise ServiceError(f"expected accepted frame, got {accepted!r}")
-        return accepted["job"]
+        return self._send_spec(spec)[1]["job"]
 
     def sweep_nowait(self, net_source: str, seeds, **kwargs: Any) -> str:
         """Fire-and-forget sweep submission; returns the job id.
@@ -617,11 +611,7 @@ class ServiceClient:
         (cancelling a running sweep mid-grid).
         """
         spec = SweepSpec(net_source=net_source, seeds=tuple(seeds), **kwargs)
-        request_id = self._request("sweep", **spec.to_payload())
-        accepted = self._wait(request_id)
-        if accepted.get("type") != "accepted":
-            raise ServiceError(f"expected accepted frame, got {accepted!r}")
-        return accepted["job"]
+        return self._send_spec(spec)[1]["job"]
 
     def submit_nowait(self, net_source: str, **kwargs: Any) -> str:
         """Fire-and-forget submission; returns the job id.
@@ -631,8 +621,4 @@ class ServiceClient:
         for queue-management flows (priorities, cancellation).
         """
         spec = JobSpec(net_source=net_source, **kwargs)
-        request_id = self._request("submit", **spec.to_payload())
-        accepted = self._wait(request_id)
-        if accepted.get("type") != "accepted":
-            raise ServiceError(f"expected accepted frame, got {accepted!r}")
-        return accepted["job"]
+        return self._send_spec(spec)[1]["job"]

@@ -65,7 +65,7 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass, field
-from typing import Any
+from typing import Any, ClassVar
 
 from ..core.errors import PnutError
 from ..dse.space import MAX_POINTS, ParamSpace, ParamSpaceError
@@ -197,6 +197,74 @@ def _supervision_to_payload(spec, payload: dict[str, Any]) -> None:
         payload["trace"] = spec.trace_id
 
 
+def _run_fields(payload: dict[str, Any]) -> dict[str, Any]:
+    """Parse the wire fields every spec kind shares into constructor
+    keyword arguments: the stop condition, ``run``, ``outputs``,
+    ``priority`` and the supervision fields (validated by the spec)."""
+    until = payload.get("until")
+    if until is not None and not isinstance(until, (int, float)):
+        raise ProtocolError("'until' must be a number")
+    max_events = payload.get("max_events")
+    if max_events is not None and not isinstance(max_events, int):
+        raise ProtocolError("'max_events' must be an integer")
+    run_number = payload.get("run", 1)
+    if not isinstance(run_number, int):
+        raise ProtocolError("'run' must be an integer")
+    outputs = payload.get("outputs", ["stats"])
+    if not isinstance(outputs, list) or not all(
+        isinstance(o, str) for o in outputs
+    ):
+        raise ProtocolError("'outputs' must be a list of channel names")
+    priority = payload.get("priority", 0)
+    if not isinstance(priority, int):
+        raise ProtocolError("'priority' must be an integer")
+    return {
+        "until": float(until) if until is not None else None,
+        "max_events": max_events,
+        "run_number": run_number,
+        "outputs": tuple(outputs),
+        "priority": priority,
+        "timeout": payload.get("timeout"),
+        "max_retries": payload.get("max_retries"),
+        "key": payload.get("key"),
+        "trace_id": payload.get("trace"),
+    }
+
+
+def _grid_fields(payload: dict[str, Any]) -> dict[str, Any]:
+    """:func:`_run_fields` plus the ``seeds`` and ``backend`` fields a
+    sweep and an exploration share."""
+    seeds = payload.get("seeds")
+    if not isinstance(seeds, list):
+        raise ProtocolError("'seeds' must be a list of integers")
+    fields = _run_fields(payload)
+    backend = payload.get("backend", "auto")
+    if not isinstance(backend, str):
+        raise ProtocolError("'backend' must be a string")
+    return {"seeds": tuple(seeds), "backend": backend, **fields}
+
+
+def _check_grid_spec(spec, what: str) -> None:
+    """Validate/normalize the fields a sweep and an exploration share."""
+    if spec.until is None and spec.max_events is None:
+        raise ProtocolError(f"{what} needs until=, max_events=, or both")
+    if spec.backend not in VALID_BACKENDS:
+        raise ProtocolError(
+            f"unknown backend {spec.backend!r}: use one of "
+            f"{list(VALID_BACKENDS)}"
+        )
+    if spec.until is not None:
+        # The wire carries `until` as a float; normalizing here makes a
+        # client-built spec identical to the server's reconstruction
+        # (and so cell payloads byte-identical across paths).
+        object.__setattr__(spec, "until", float(spec.until))
+    if not spec.seeds:
+        raise ProtocolError(f"{what} needs at least one seed")
+    if not all(isinstance(seed, int) and not isinstance(seed, bool)
+               for seed in spec.seeds):
+        raise ProtocolError(f"{what} seeds must be integers")
+
+
 def dedupe_identity(spec) -> str | None:
     """The server-side dedupe identity of a keyed spec, or None.
 
@@ -245,6 +313,8 @@ class JobSpec:
     #: server mints one at submit when absent. A protocol-2-compatible
     #: extension: peers that predate it ignore the key.
     trace_id: str | None = None
+    #: The wire op that carries this spec.
+    op: ClassVar[str] = "submit"
 
     def __post_init__(self) -> None:
         if self.until is None and self.max_events is None:
@@ -259,39 +329,10 @@ class JobSpec:
     @classmethod
     def from_payload(cls, payload: dict[str, Any]) -> "JobSpec":
         net_source = _require(payload, "net", str, "the net source text")
-        until = payload.get("until")
-        if until is not None and not isinstance(until, (int, float)):
-            raise ProtocolError("'until' must be a number")
-        max_events = payload.get("max_events")
-        if max_events is not None and not isinstance(max_events, int):
-            raise ProtocolError("'max_events' must be an integer")
         seed = payload.get("seed")
         if seed is not None and not isinstance(seed, int):
             raise ProtocolError("'seed' must be an integer")
-        run_number = payload.get("run", 1)
-        if not isinstance(run_number, int):
-            raise ProtocolError("'run' must be an integer")
-        outputs = payload.get("outputs", ["stats"])
-        if not isinstance(outputs, list) or not all(
-            isinstance(o, str) for o in outputs
-        ):
-            raise ProtocolError("'outputs' must be a list of channel names")
-        priority = payload.get("priority", 0)
-        if not isinstance(priority, int):
-            raise ProtocolError("'priority' must be an integer")
-        return cls(
-            net_source=net_source,
-            until=float(until) if until is not None else None,
-            max_events=max_events,
-            seed=seed,
-            run_number=run_number,
-            outputs=tuple(outputs),
-            priority=priority,
-            timeout=payload.get("timeout"),
-            max_retries=payload.get("max_retries"),
-            key=payload.get("key"),
-            trace_id=payload.get("trace"),
-        )
+        return cls(net_source=net_source, seed=seed, **_run_fields(payload))
 
     def to_payload(self) -> dict[str, Any]:
         payload: dict[str, Any] = {"net": self.net_source}
@@ -334,30 +375,15 @@ class SweepSpec:
     key: str | None = None
     trace_id: str | None = None
     backend: str = "auto"
+    op: ClassVar[str] = "sweep"
 
     def __post_init__(self) -> None:
-        if self.until is None and self.max_events is None:
-            raise ProtocolError("sweep needs until=, max_events=, or both")
-        if self.backend not in VALID_BACKENDS:
-            raise ProtocolError(
-                f"unknown backend {self.backend!r}: use one of "
-                f"{list(VALID_BACKENDS)}"
-            )
-        if self.until is not None:
-            # The wire carries `until` as a float; normalizing here makes
-            # a client-built spec identical to the server's reconstruction
-            # (and so per-run payloads byte-identical across paths).
-            object.__setattr__(self, "until", float(self.until))
-        if not self.seeds:
-            raise ProtocolError("sweep needs at least one seed")
+        _check_grid_spec(self, "sweep")
         if len(self.seeds) > MAX_SWEEP_SEEDS:
             raise ProtocolError(
                 f"sweep of {len(self.seeds)} seeds exceeds the per-frame "
                 f"bound of {MAX_SWEEP_SEEDS}"
             )
-        if not all(isinstance(seed, int) and not isinstance(seed, bool)
-                   for seed in self.seeds):
-            raise ProtocolError("sweep seeds must be integers")
         bad = [o for o in self.outputs if o not in VALID_SWEEP_OUTPUTS]
         if bad:
             raise ProtocolError(
@@ -369,43 +395,7 @@ class SweepSpec:
     @classmethod
     def from_payload(cls, payload: dict[str, Any]) -> "SweepSpec":
         net_source = _require(payload, "net", str, "the net source text")
-        seeds = payload.get("seeds")
-        if not isinstance(seeds, list):
-            raise ProtocolError("'seeds' must be a list of integers")
-        until = payload.get("until")
-        if until is not None and not isinstance(until, (int, float)):
-            raise ProtocolError("'until' must be a number")
-        max_events = payload.get("max_events")
-        if max_events is not None and not isinstance(max_events, int):
-            raise ProtocolError("'max_events' must be an integer")
-        run_number = payload.get("run", 1)
-        if not isinstance(run_number, int):
-            raise ProtocolError("'run' must be an integer")
-        outputs = payload.get("outputs", ["stats"])
-        if not isinstance(outputs, list) or not all(
-            isinstance(o, str) for o in outputs
-        ):
-            raise ProtocolError("'outputs' must be a list of channel names")
-        priority = payload.get("priority", 0)
-        if not isinstance(priority, int):
-            raise ProtocolError("'priority' must be an integer")
-        backend = payload.get("backend", "auto")
-        if not isinstance(backend, str):
-            raise ProtocolError("'backend' must be a string")
-        return cls(
-            net_source=net_source,
-            seeds=tuple(seeds),
-            until=float(until) if until is not None else None,
-            max_events=max_events,
-            run_number=run_number,
-            outputs=tuple(outputs),
-            priority=priority,
-            timeout=payload.get("timeout"),
-            max_retries=payload.get("max_retries"),
-            key=payload.get("key"),
-            trace_id=payload.get("trace"),
-            backend=backend,
-        )
+        return cls(net_source=net_source, **_grid_fields(payload))
 
     def to_payload(self) -> dict[str, Any]:
         payload: dict[str, Any] = {
@@ -453,25 +443,10 @@ class ExploreSpec:
     key: str | None = None
     trace_id: str | None = None
     backend: str = "auto"
+    op: ClassVar[str] = "explore"
 
     def __post_init__(self) -> None:
-        if self.until is None and self.max_events is None:
-            raise ProtocolError("explore needs until=, max_events=, or both")
-        if self.backend not in VALID_BACKENDS:
-            raise ProtocolError(
-                f"unknown backend {self.backend!r}: use one of "
-                f"{list(VALID_BACKENDS)}"
-            )
-        if self.until is not None:
-            # Wire normalization, exactly as on SweepSpec: client-built
-            # and server-reconstructed specs must be identical so cell
-            # payloads are byte-identical across paths.
-            object.__setattr__(self, "until", float(self.until))
-        if not self.seeds:
-            raise ProtocolError("explore needs at least one seed")
-        if not all(isinstance(seed, int) and not isinstance(seed, bool)
-                   for seed in self.seeds):
-            raise ProtocolError("explore seeds must be integers")
+        _check_grid_spec(self, "explore")
         try:
             points = len(self.space())
         except ParamSpaceError as error:
@@ -525,26 +500,7 @@ class ExploreSpec:
         params = payload.get("params")
         if not isinstance(params, dict):
             raise ProtocolError("'params' must be a parameter-space object")
-        seeds = payload.get("seeds")
-        if not isinstance(seeds, list):
-            raise ProtocolError("'seeds' must be a list of integers")
-        until = payload.get("until")
-        if until is not None and not isinstance(until, (int, float)):
-            raise ProtocolError("'until' must be a number")
-        max_events = payload.get("max_events")
-        if max_events is not None and not isinstance(max_events, int):
-            raise ProtocolError("'max_events' must be an integer")
-        run_number = payload.get("run", 1)
-        if not isinstance(run_number, int):
-            raise ProtocolError("'run' must be an integer")
-        outputs = payload.get("outputs", ["stats"])
-        if not isinstance(outputs, list) or not all(
-            isinstance(o, str) for o in outputs
-        ):
-            raise ProtocolError("'outputs' must be a list of channel names")
-        priority = payload.get("priority", 0)
-        if not isinstance(priority, int):
-            raise ProtocolError("'priority' must be an integer")
+        fields = _grid_fields(payload)
         skip = payload.get("skip", [])
         if not isinstance(skip, list) or not all(
             isinstance(pair, list) and len(pair) == 2 for pair in skip
@@ -552,25 +508,8 @@ class ExploreSpec:
             raise ProtocolError(
                 "'skip' must be a list of [point_index, seed] pairs"
             )
-        backend = payload.get("backend", "auto")
-        if not isinstance(backend, str):
-            raise ProtocolError("'backend' must be a string")
-        return cls(
-            net_source=net_source,
-            params=params,
-            seeds=tuple(seeds),
-            until=float(until) if until is not None else None,
-            max_events=max_events,
-            run_number=run_number,
-            outputs=tuple(outputs),
-            priority=priority,
-            skip=tuple((pair[0], pair[1]) for pair in skip),
-            timeout=payload.get("timeout"),
-            max_retries=payload.get("max_retries"),
-            key=payload.get("key"),
-            trace_id=payload.get("trace"),
-            backend=backend,
-        )
+        return cls(net_source=net_source, params=params,
+                   skip=tuple((pair[0], pair[1]) for pair in skip), **fields)
 
     def to_payload(self) -> dict[str, Any]:
         payload: dict[str, Any] = {
@@ -595,6 +534,12 @@ class ExploreSpec:
         return payload
 
 
+#: Wire op -> spec class, for the server's dispatch and journal recovery.
+SPEC_CLASSES: dict[str, Any] = {
+    cls.op: cls for cls in (JobSpec, SweepSpec, ExploreSpec)
+}
+
+
 # ---------------------------------------------------------------------------
 # Response frame constructors (server side; the client pattern-matches on
 # the ``type`` field).
@@ -617,21 +562,3 @@ def accepted_frame(request_id: Any, job_id: str,
         "type": "accepted", "id": request_id, "job": job_id,
         "position": position,
     }
-
-
-def trace_frame(request_id: Any, job_id: str,
-                lines: list[str]) -> dict[str, Any]:
-    return {"type": "trace", "id": request_id, "job": job_id, "lines": lines}
-
-
-def sweep_run_frame(request_id: Any, job_id: str, index: int,
-                    run: dict[str, Any]) -> dict[str, Any]:
-    return {
-        "type": "sweep-run", "id": request_id, "job": job_id,
-        "index": index, "run": run,
-    }
-
-
-def result_frame(request_id: Any, job_id: str,
-                 result: dict[str, Any]) -> dict[str, Any]:
-    return {"type": "result", "id": request_id, "job": job_id, **result}

@@ -24,20 +24,28 @@ import logging
 import os
 import signal
 import time
-from typing import Any
+from dataclasses import dataclass
+from typing import Any, Callable
 
 from ..analysis.report import statistics_payload
 from ..analysis.stat import StatisticsObserver
 from ..core.errors import PnutError
-from ..dse.store import SWEEP_POINT_KEY, StoreError, open_store, stop_key
+from ..dse.space import point_key
+from ..dse.store import StoreError, open_store, stop_key
 from ..obs.metrics import MetricsRegistry, peak_rss_kb
 from ..obs.spans import SpanLog, mint_trace_id, read_spans
 from ..sim.experiment import ForkedTask, fork_available
 from ..sim.sweep import (
+    RESUMED,
+    SweepResult,
     SweepRunSummary,
     TraceHasher,
     _aggregate,
-    run_sweep,
+    backend_counts,
+    cell_runner,
+    grid_cells,
+    grid_sha256,
+    scan_store,
     summary_from_payload,
 )
 from ..trace.events import TraceHeader
@@ -46,6 +54,7 @@ from . import faults
 from .cache import CompiledNet, CompiledNetCache
 from .protocol import (
     PROTOCOL_VERSION,
+    SPEC_CLASSES,
     TRACE_BATCH_LINES,
     ExploreSpec,
     JobSpec,
@@ -129,23 +138,6 @@ def _emit_cell_span(emit, kind: str, *, seed: int,
         record["elapsed_s"] = 0.0
         record["events"] = 0
     emit({"channel": "span", "record": record})
-
-
-def _count_backend(extra: dict[str, int], surface: str,
-                   selected: str, reason: str) -> None:
-    """Fold one backend selection into an obs-counter delta dict.
-
-    ``<surface>_backend_<selected>_total`` counts what actually ran;
-    a safe-class fallback additionally bumps
-    ``<surface>_backend_fallback_<reason>_total`` (reason slugs like
-    ``transition-actions`` become Prometheus-safe underscores).
-    """
-    key = f"{surface}_backend_{selected}_total"
-    extra[key] = extra.get(key, 0) + 1
-    if reason not in ("ok", "requested"):
-        fallback = (f"{surface}_backend_fallback_"
-                    f"{reason.replace('-', '_')}_total")
-        extra[fallback] = extra.get(fallback, 0) + 1
 
 
 def _run_interpreted(compiled: CompiledNet, spec: JobSpec, emit):
@@ -242,13 +234,12 @@ def execute_job(compiled: CompiledNet, spec: JobSpec, resolution,
                 saboteur(None)
     else:
         run, simulator = _run_interpreted(compiled, spec, emit)
-    extra: dict[str, int] = {}
-    _count_backend(extra, "submit", selected, reason)
     _emit_obs_deltas(
         emit, run.elapsed_s,
         events_started=run.events_started,
         events_finished=run.events_finished,
-        runs=1, simulator=simulator, extra=extra,
+        runs=1, simulator=simulator,
+        extra=backend_counts("submit", [resolution]),
     )
 
     payload: dict[str, Any] = {
@@ -269,247 +260,193 @@ def execute_job(compiled: CompiledNet, spec: JobSpec, resolution,
     return payload
 
 
-def execute_explore_job(
-    prepared: list[tuple[dict[str, Any], CompiledNet, str]],
-    spec: ExploreSpec,
-    resolutions,
-    stored,
-    emit,
-) -> dict[str, Any]:
-    """Run one exploration job — the whole (point x seed) grid.
+def _sweep_summary(prepared, seeds, grid, cells, fresh, resumed):
+    """A sweep's result body: run totals, ``runs_sha256``, aggregates.
 
-    ``prepared`` carries one ``(point, compiled entry, net sha)`` triple
-    per grid point, bound and compiled on the event-loop side through
-    the server's net cache *before* the fork, so the child inherits
-    every skeleton by memory image and repeated explorations hit the
-    cache. Runs inside a single forked child (one cancellable job); each
-    non-skipped cell runs its point's engine and streams a payload
-    identical to what a ``submit`` of the bound source would report.
-    ``resolutions`` holds each point's ``(program, selected, reason)``,
-    resolved (and the generated loop warmed) in the parent as well:
-    eligibility for the lockstep safe class can differ across points,
-    but cell payloads are bit-identical either way.
-
-    ``stored`` maps grid indices to checkpointed cell payloads the
-    server pulled from its shared result store before the fork; they
-    replay as ordinary ``explore-cell`` frames (so the submitting client
-    still receives every cell it didn't client-side skip) without
-    simulating, and count as ``resumed_cells`` on the summary.
+    A sweep skips no cell, so every grid cell has a summary; stored and
+    fresh runs merge in position order and ``_aggregate`` folds them in
+    ascending-seed order, so a resumed sweep's body is byte-identical
+    to a cold one.
     """
-    from ..sim.sweep import _sweep_one
+    compiled = prepared[0][1]
+    result = SweepResult(runs=cells,
+                         metrics=_aggregate([(run, {}) for run in cells],
+                                            [], 0.95))
+    return {
+        "summary": {
+            "net": compiled.net.name,
+            "runs": len(cells),
+            "seeds": seeds,
+            "events_started": sum(run.events_started for run in cells),
+            "events_finished": sum(run.events_finished for run in cells),
+            "runs_sha256": result.runs_sha256(),
+            "cache_key": compiled.key,
+            "resumed_cells": resumed,
+        },
+        "aggregates": result.aggregates_payload(),
+    }
 
-    want_stats = "stats" in spec.outputs
-    skip = set(spec.skip)
-    stored = stored or {}
-    seeds = list(spec.seeds)
-    digests: list[tuple[int, int, str]] = []
-    events_started = events_finished = cells_run = resumed_cells = 0
-    index = 0
-    run_started = time.perf_counter()
-    for point_index, (_point, compiled, _sha) in enumerate(prepared):
-        program, selected, reason = resolutions[point_index]
-        for seed in seeds:
-            if index in stored and (point_index, seed) not in skip:
-                # Server-store hit: replay the checkpointed cell as an
-                # ordinary frame — byte-identical to a fresh run's — and
-                # a zero-length skipped span, without simulating.
-                emit({
-                    "channel": "explore-cell", "index": index,
-                    "point": point_index, "cell": stored[index],
-                })
-                _emit_cell_span(
-                    emit, "explore-cell", seed=seed, point=point_index,
-                    backend=selected, backend_reason=reason,
-                    skipped=True,
-                )
-                resumed_cells += 1
-            elif (point_index, seed) not in skip:
-                if program is not None:
-                    summary, _values = program.run_seed(
-                        seed, spec.run_number, spec.until,
-                        spec.max_events, want_stats, {}, {},
-                    )
-                else:
-                    summary, _values = _sweep_one(
-                        compiled.template, seed, spec.run_number,
-                        spec.until, spec.max_events, want_stats, {}, {},
-                    )
-                emit({
-                    "channel": "explore-cell", "index": index,
-                    "point": point_index, "cell": summary.to_payload(),
-                })
-                _emit_cell_span(
-                    emit, "explore-cell", seed=seed, point=point_index,
-                    summary=summary, backend=selected,
-                    backend_reason=reason,
-                )
-                digests.append((point_index, seed, summary.trace_sha256))
-                events_started += summary.events_started
-                events_finished += summary.events_finished
-                cells_run += 1
-            else:
-                # Cache-skipped cells are part of the grid's timeline
-                # too: a zero-length span flagged `skipped` is what the
-                # cache-hit ratio in `pnut spans --stats` counts.
-                _emit_cell_span(
-                    emit, "explore-cell", seed=seed, point=point_index,
-                    backend=selected, backend_reason=reason,
-                    skipped=True,
-                )
-            index += 1
-    # Digest over the cells actually run, folded in (point, seed) order
-    # so it is independent of the submitted seed ordering (and equals
-    # the in-process driver's cells_sha256 when nothing was skipped).
-    digests.sort(key=lambda item: (item[0], item[1]))
-    cells_sha = hashlib.sha256(
-        "".join(digest for _p, _s, digest in digests).encode("ascii")
-    ).hexdigest()
-    extra = {"dse_cells_run_total": cells_run,
-             "dse_cells_resumed_total": resumed_cells,
-             "dse_cells_skipped_total": index - cells_run - resumed_cells}
-    for _program, selected, reason in resolutions:
-        _count_backend(extra, "explore", selected, reason)
-    _emit_obs_deltas(
-        emit, time.perf_counter() - run_started,
-        events_started=events_started, events_finished=events_finished,
-        runs=cells_run,
-        extra=extra,
-    )
+
+def _explore_summary(prepared, seeds, grid, cells, fresh, resumed):
+    """An exploration's result body: cell counts over the whole grid,
+    engine totals and ``run_cells_sha256`` over the cells actually run
+    (equal to the in-process ``cells_sha256`` when nothing was skipped
+    or resumed)."""
+    ran = [cells[index] for index in fresh]
     return {
         "summary": {
             "net": prepared[0][1].net.name if prepared else "",
             "points": len(prepared),
             "seeds": seeds,
-            "cells": index,
-            "cells_run": cells_run,
-            "cells_skipped": index - cells_run - resumed_cells,
-            "resumed_cells": resumed_cells,
-            "events_started": events_started,
-            "events_finished": events_finished,
-            "run_cells_sha256": cells_sha,
+            "cells": len(grid),
+            "cells_run": len(fresh),
+            "cells_skipped": len(grid) - len(fresh) - resumed,
+            "resumed_cells": resumed,
+            "events_started": sum(run.events_started for run in ran),
+            "events_finished": sum(run.events_finished for run in ran),
+            "run_cells_sha256": grid_sha256(
+                (*grid[index], cells[index].trace_sha256) for index in fresh
+            ),
             "net_shas": [sha for _point, _compiled, sha in prepared],
         },
     }
 
 
-def execute_sweep_job(compiled: CompiledNet, spec: SweepSpec, resolution,
-                      stored, emit) -> dict[str, Any]:
-    """Run one sweep job — the whole seed grid — to completion.
+@dataclass(frozen=True)
+class GridOp:
+    """What one grid op changes about :func:`execute_grid_job`.
 
-    Runs inside a single forked child (one cancellable job, one cache
-    lookup, one fork of the compiled skeleton per *run* rather than one
-    job per seed), streaming one summary per completed seed through
-    ``emit``. Each per-run payload is exactly what an individual
-    ``submit`` of that seed would have reported (same statistics dict,
-    same trace SHA-256); the returned result frame body adds the
-    cross-run mean/CI aggregates.
+    ``channel`` names the op's cell frames and cell spans and ``field``
+    the payload key inside a cell frame; ``point`` says whether frames
+    and spans carry the point index. ``surface`` prefixes the backend
+    counters, ``counters`` names the cells-run, cells-resumed and (for
+    explore) cells-skipped counters, and ``summarize`` builds the
+    result frame body.
+    """
 
-    ``stored`` maps seed positions to checkpointed run payloads the
-    server pulled from its result store *before* the fork (SQLite
-    handles must not cross a fork, so the child never touches the store
-    itself). Stored runs replay as ordinary ``sweep-run`` frames first —
-    byte-identical to a fresh run's frame — then only the missing seeds
-    simulate; the result frame merges both so a resumed sweep's runs,
-    aggregates and ``runs_sha256`` are bit-identical to a cold one.
+    channel: str
+    field: str
+    point: bool
+    surface: str
+    counters: tuple[str, ...]
+    summarize: Callable[..., dict[str, Any]]
 
-    ``resolution`` is the ``(program, selected, reason)`` triple the
-    server resolved in its parent, with the generated loop already
-    warm, so the child never pays codegen.
+    def frame(self, index: int, point: int,
+              payload: dict[str, Any]) -> dict[str, Any]:
+        """The body of one cell frame (wire field order preserved)."""
+        frame: dict[str, Any] = {"index": index}
+        if self.point:
+            frame["point"] = point
+        frame[self.field] = payload
+        return frame
+
+
+#: The grid ops, keyed by wire op: everything a sweep and an
+#: exploration do differently lives here, not in the executor's loop.
+GRID_OPS = {
+    "sweep": GridOp("sweep-run", "run", False, "sweep",
+                    ("sweep_runs_total", "sweep_runs_resumed_total"),
+                    _sweep_summary),
+    "explore": GridOp("explore-cell", "cell", True, "explore",
+                      ("dse_cells_run_total", "dse_cells_resumed_total",
+                       "dse_cells_skipped_total"),
+                      _explore_summary),
+}
+_GRID_CHANNELS = {op.channel: op for op in GRID_OPS.values()}
+
+
+def execute_grid_job(
+    prepared: list[tuple[dict[str, Any], CompiledNet, str]],
+    spec: SweepSpec | ExploreSpec,
+    resolutions,
+    stored,
+    emit,
+) -> dict[str, Any]:
+    """Run one grid job — every (point, seed) cell — to completion.
+
+    A sweep is the one-point grid of the empty point and an exploration
+    one point per bound parameter set (see
+    :meth:`SimulationService._prepare`). ``prepared`` carries one
+    ``(point, compiled entry, net sha)`` triple per point, compiled on
+    the server side through its net cache *before* the fork, so the
+    child inherits every skeleton by memory image. ``resolutions``
+    holds each point's ``(program, selected, reason)``, resolved (and
+    the generated loop warmed) in the parent as well, so the child
+    never pays codegen; each cell runs through the same
+    :func:`~repro.sim.sweep.cell_runner` as the in-process grid, and
+    streams a payload identical to what a ``submit`` of that point's
+    net and seed would report.
+
+    Runs inside a single forked child (one cancellable job). ``stored``
+    maps grid indices to checkpointed cell payloads the server pulled
+    from its result store before the fork (SQLite handles must not
+    cross a fork, so the child never touches the store). They replay
+    as ordinary cell frames without simulating and count as
+    ``resumed_cells``; cells an exploration's ``skip`` names stream no
+    frame at all. Every cell gets a cell span, a zero-length
+    ``skipped`` one when nothing ran. The op's differences (frame
+    shape, counters, result body) come from :data:`GRID_OPS`.
     """
     faults.stall_worker()  # chaos hook: hold the deadline path to the fire
-    want_stats = "stats" in spec.outputs
-    stored = stored or {}
-    seeds = list(spec.seeds)
-    missing = [position for position in range(len(seeds))
-               if position not in stored]
-    program, selected, reason = resolution
-    if not missing:
-        selected, reason = "scalar", "resumed"
-    # chaos hook: the lockstep backend has no per-event observers, so the
-    # kill-child budget is drained at run granularity — the SIGKILL lands
-    # between seeds, after that seed's summary and cell-span streamed.
+    # chaos hook: the generated loop has no per-event observers, so the
+    # kill-child budget drains at run granularity — the SIGKILL lands
+    # between cells, after that cell's frame and span streamed.
     saboteur = faults.event_saboteur()
-
-    pairs: dict[int, tuple[Any, dict]] = {}
-    for position in sorted(stored):
-        summary = summary_from_payload(stored[position])
-        pairs[position] = (summary, {})
-        emit({
-            "channel": "sweep-run", "index": position,
-            "run": summary.to_payload(),
-        })
-        # A resumed run is a cache hit on the grid timeline, exactly
-        # like an explore cell the client's store already held.
+    op = GRID_OPS[spec.op]
+    want_stats = "stats" in spec.outputs
+    seeds = list(spec.seeds)
+    grid = grid_cells(len(prepared), seeds)
+    skip = set(getattr(spec, "skip", ()))
+    stored = stored or {}
+    fresh = [index for index, cell in enumerate(grid)
+             if cell not in skip and index not in stored]
+    running = {grid[index][0] for index in fresh}
+    resolutions = [resolution if point in running else RESUMED
+                   for point, resolution in enumerate(resolutions)]
+    runners = [
+        cell_runner(compiled.template, resolution, spec.run_number,
+                    spec.until, spec.max_events, want_stats)
+        for (_point, compiled, _sha), resolution in zip(prepared, resolutions)
+    ]
+    cells: list[SweepRunSummary | None] = [None] * len(grid)
+    resumed = 0
+    run_started = time.perf_counter()
+    for index, (point, seed) in enumerate(grid):
+        summary = None
+        if (point, seed) in skip:
+            pass
+        elif index in stored:
+            payload = stored[index]
+            cells[index] = summary_from_payload(payload)
+            resumed += 1
+        else:
+            summary, _values = runners[point](seed)
+            payload = summary.to_payload()
+            cells[index] = summary
+        if cells[index] is not None:
+            emit({"channel": op.channel, **op.frame(index, point, payload)})
+        _program, selected, reason = resolutions[point]
         _emit_cell_span(
-            emit, "sweep-run", seed=summary.seed,
-            backend=selected, backend_reason=reason, skipped=True,
+            emit, op.channel, seed=seed, point=point if op.point else None,
+            summary=summary, backend=selected, backend_reason=reason,
+            skipped=summary is None,
         )
-
-    def on_run(slot: int, summary) -> None:
-        position = missing[slot]
-        pairs[position] = (summary, {})
-        emit({
-            "channel": "sweep-run", "index": position,
-            "run": summary.to_payload(),
-        })
-        _emit_cell_span(
-            emit, "sweep-run", seed=summary.seed, summary=summary,
-            backend=selected, backend_reason=reason,
-        )
-        if saboteur is not None:
+        if summary is not None and saboteur is not None:
             for _ in range(summary.events_started):
                 saboteur(None)
-
-    run_started = time.perf_counter()
-    if missing:
-        run_sweep(
-            compiled.template,
-            [seeds[position] for position in missing],
-            until=spec.until,
-            max_events=spec.max_events,
-            run_number=spec.run_number,
-            workers=1,
-            want_stats=want_stats,
-            on_run=on_run,
-            # The parent's program is cached on the skeleton, so this
-            # re-resolution is a lookup; a parent fallback stays scalar.
-            backend="scalar" if program is None else spec.backend,
-        )
-    # Merge stored + fresh in position order; `_aggregate` folds in
-    # ascending-seed order underneath, so the merged aggregates (and
-    # the runs digest) are byte-identical to a cold full run.
-    from ..sim.sweep import SweepResult
-
-    merged = [pairs[position] for position in range(len(seeds))]
-    result = SweepResult(
-        runs=[summary for summary, _values in merged],
-        metrics=_aggregate(merged, [], 0.95),
-        resumed=len(stored),
-    )
-    extra = {"sweep_runs_total": len(missing),
-             "sweep_runs_resumed_total": len(stored)}
-    if missing:
-        _count_backend(extra, "sweep", selected, reason)
+    # Engine counters cover only the cells simulated here: a resumed
+    # cell's events were counted by the attempt that ran it.
+    ran = [cells[index] for index in fresh]
+    extra = dict(zip(op.counters,
+                     (len(fresh), resumed, len(grid) - len(fresh) - resumed)))
+    extra.update(backend_counts(op.surface, resolutions))
     _emit_obs_deltas(
         emit, time.perf_counter() - run_started,
-        events_started=sum(r.events_started for r in result.runs),
-        events_finished=sum(r.events_finished for r in result.runs),
-        runs=len(missing),
-        extra=extra,
+        events_started=sum(run.events_started for run in ran),
+        events_finished=sum(run.events_finished for run in ran),
+        runs=len(fresh), extra=extra,
     )
-    return {
-        "summary": {
-            "net": compiled.net.name,
-            "runs": len(result.runs),
-            "seeds": seeds,
-            "events_started": sum(r.events_started for r in result.runs),
-            "events_finished": sum(r.events_finished for r in result.runs),
-            "runs_sha256": result.runs_sha256(),
-            "cache_key": compiled.key,
-            "resumed_cells": result.resumed,
-        },
-        "aggregates": result.aggregates_payload(),
-    }
+    return op.summarize(prepared, seeds, grid, cells, fresh, resumed)
 
 
 class SimulationService:
@@ -842,13 +779,10 @@ class SimulationService:
         lifetime's records.
         """
         assert self.journal is not None
-        spec_classes: dict[str, Any] = {
-            "submit": JobSpec, "sweep": SweepSpec, "explore": ExploreSpec,
-        }
         recovered: list[tuple[Job, str]] = []
         for record in self.journal.recover():
             op = str(record.get("op"))
-            spec_cls = spec_classes.get(op)
+            spec_cls = SPEC_CLASSES.get(op)
             if spec_cls is None:
                 log.warning("journal: skipping job %s with unknown op %r",
                             record.get("job"), op)
@@ -975,60 +909,61 @@ class SimulationService:
             compiles.append(time.perf_counter() - started)
         return resolution
 
-    def _prepare_explore(self, spec: ExploreSpec, compiles: list[float]):
-        """Bind and compile every grid point through the net cache.
-
-        Runs on a thread *before* the job forks (via the same
-        :func:`~repro.dse.explore.bind_space` the in-process driver
-        uses, so net hashes match the client's skip keys exactly), which
-        means the child inherits all compiled skeletons by memory image
-        and a repeated exploration of an overlapping grid hits the
-        cache. Each point's backend is resolved through :meth:`_resolve`.
-        Returns the prepared ``(point, compiled, net sha)`` triples, the
-        per-point resolutions, and whether every point was served from
-        cache.
-        """
-        from ..dse.explore import bind_space
-
-        points, compiled, net_shas, outcomes = bind_space(
-            spec.net_source, spec.space(), self.cache,
-            immediate_budget=self.immediate_budget,
-        )
-        want_stats = "stats" in spec.outputs
-        resolutions = [
-            self._resolve(entry, spec.backend, want_stats, compiles)
-            for entry in compiled
-        ]
-        prepared = list(zip(points, compiled, net_shas))
-        cached = all(outcome != "miss" for outcome in outcomes)
-        return prepared, resolutions, cached
-
     def _prepare(self, spec: Any):
         """Thread side of dispatch: find the job's net(s), resolve backends.
 
         Returns ``(target, resolution, cached, compiles)``. A ``submit``
-        that subscribes ``trace`` output streams interpreter events, so
-        it resolves to the scalar engine without classifying the net;
-        every other job goes through :meth:`_resolve`.
+        targets one compiled net; a subscribed ``trace`` output streams
+        interpreter events, so it resolves to the scalar engine without
+        classifying the net, and every other submit goes through
+        :meth:`_resolve`.
+
+        A grid job targets a list of ``(point, compiled, net sha)``
+        triples with one resolution per point. An exploration binds
+        every point through the same
+        :func:`~repro.dse.explore.bind_space` the in-process driver
+        uses (so net hashes match the client's skip keys) and through
+        this server's net cache (so a repeated exploration of an
+        overlapping grid hits it). The one-point-grid rule: a sweep is
+        the exploration of the empty point ``{}``, i.e. the grid
+        ``[({}, compiled, sha256(compiled.source))]``. Its cells store
+        under the empty point's key
+        (:data:`~repro.dse.store.SWEEP_POINT_KEY`), exactly where the
+        in-process :func:`~repro.sim.sweep.run_sweep` keeps them.
         """
         compiles: list[float] = []
+        want_stats = "stats" in spec.outputs
         if isinstance(spec, ExploreSpec):
-            target, resolution, cached = self._prepare_explore(spec,
-                                                               compiles)
-            return target, resolution, cached, compiles
-        target, outcome = self.cache.lookup(spec.net_source,
-                                            self.immediate_budget)
-        if "trace" in spec.outputs:  # only a submit may stream a trace
-            resolution = (None, "scalar", "trace-output")
+            from ..dse.explore import bind_space
+
+            points, entries, net_shas, outcomes = bind_space(
+                spec.net_source, spec.space(), self.cache,
+                immediate_budget=self.immediate_budget,
+            )
         else:
-            requested = spec.backend if isinstance(spec, SweepSpec) else "auto"
-            resolution = self._resolve(target, requested,
-                                       "stats" in spec.outputs, compiles)
-        return target, resolution, outcome != "miss", compiles
+            entry, outcome = self.cache.lookup(spec.net_source,
+                                               self.immediate_budget)
+            if isinstance(spec, JobSpec):
+                resolution = (
+                    (None, "scalar", "trace-output")
+                    if "trace" in spec.outputs
+                    else self._resolve(entry, "auto", want_stats, compiles)
+                )
+                return entry, resolution, outcome != "miss", compiles
+            points, entries, outcomes = [{}], [entry], [outcome]
+            net_shas = [hashlib.sha256(entry.source.encode("utf-8"))
+                        .hexdigest()]
+        resolutions = [
+            self._resolve(entry, spec.backend, want_stats, compiles)
+            for entry in entries
+        ]
+        cached = all(outcome != "miss" for outcome in outcomes)
+        return (list(zip(points, entries, net_shas)), resolutions, cached,
+                compiles)
 
     def _consult_store(self, job: Job, spec: Any,
-                       target: Any) -> dict[int, dict[str, Any]]:
-        """Scan the server store for this job's already-completed cells.
+                       prepared) -> dict[int, dict[str, Any]]:
+        """Scan the server store for this grid job's completed cells.
 
         Runs on the event loop *before* the fork (SQLite handles must
         not cross one, and the in-memory index lookup is cheap), once
@@ -1038,43 +973,19 @@ class SimulationService:
         (:meth:`_publish_stream`) and keyed re-attach replay use.
         """
         assert self.store is not None
-        want_stats = "stats" in spec.outputs
-        skey = stop_key(spec.until, spec.max_events, spec.run_number,
-                        want_stats, ())
-        stored: dict[int, dict[str, Any]] = {}
-        if isinstance(spec, SweepSpec):
-            net_sha = hashlib.sha256(
-                target.source.encode("utf-8")
-            ).hexdigest()
-            seeds = list(spec.seeds)
-            job.store_ctx = {"kind": "sweep", "net_sha": net_sha,
-                             "skey": skey, "seeds": seeds}
-            for position, seed in enumerate(seeds):
-                payload = self.store.get(net_sha, SWEEP_POINT_KEY, seed,
-                                         skey)
-                if payload is not None:
-                    stored[position] = payload
-        else:
-            from ..dse.explore import grid_cells
-            from ..dse.space import point_key
+        job.store_ctx = {
+            "net_shas": [sha for _point, _compiled, sha in prepared],
+            "point_keys": [point_key(point)
+                           for point, _compiled, _sha in prepared],
+            "grid": grid_cells(len(prepared), spec.seeds),
+            "skey": stop_key(spec.until, spec.max_events, spec.run_number,
+                             "stats" in spec.outputs, ()),
+        }
+        return self._scan_store(job.store_ctx)
 
-            grid = grid_cells(len(target), spec.seeds)
-            net_shas = [sha for _point, _compiled, sha in target]
-            point_keys = [point_key(point)
-                          for point, _compiled, _sha in target]
-            skip = set(spec.skip)
-            job.store_ctx = {"kind": "explore", "net_shas": net_shas,
-                             "point_keys": point_keys, "skey": skey,
-                             "grid": grid}
-            for index, (point_index, seed) in enumerate(grid):
-                if (point_index, seed) in skip:
-                    continue
-                payload = self.store.get(net_shas[point_index],
-                                         point_keys[point_index], seed,
-                                         skey)
-                if payload is not None:
-                    stored[index] = payload
-        return stored
+    def _scan_store(self, ctx: dict[str, Any]) -> dict[int, dict[str, Any]]:
+        return scan_store(self.store, ctx["grid"], ctx["net_shas"],
+                          ctx["point_keys"], ctx["skey"])
 
     async def _execute(self, job: Job) -> None:
         spec = job.spec
@@ -1088,11 +999,8 @@ class SimulationService:
         for seconds in compiles:
             self.metrics.counter("codegen_compiles_total").inc()
             self.metrics.histogram("codegen_seconds").observe(seconds)
-        executor: Any = (
-            execute_explore_job if isinstance(spec, ExploreSpec)
-            else execute_sweep_job if isinstance(spec, SweepSpec)
-            else execute_job
-        )
+        executor: Any = (execute_grid_job if spec.op in GRID_OPS
+                         else execute_job)
         job.cached = cached
         if job.state is JobState.CANCELLED:
             self._finish(job, None, None)
@@ -1102,7 +1010,7 @@ class SimulationService:
         # (or a restart-recovered job) resumes from whatever cells the
         # previous attempt already checkpointed.
         args: tuple = (target, spec, resolution)
-        if isinstance(spec, (SweepSpec, ExploreSpec)):
+        if executor is execute_grid_job:
             stored = (self._consult_store(job, spec, target)
                       if self.store is not None else {})
             args += (stored,)
@@ -1276,25 +1184,15 @@ class SimulationService:
                     attempt=job.attempts, **record,
                 )
             return
-        if channel == "trace":
-            frame: dict[str, Any] = {
-                "type": "trace", "job": job.id, "lines": payload["lines"],
-            }
-        elif channel == "sweep-run":
-            self._checkpoint_cell(job, payload["index"], payload["run"])
-            frame = {
-                "type": "sweep-run", "job": job.id,
-                "index": payload["index"], "run": payload["run"],
-            }
-        elif channel == "explore-cell":
-            self._checkpoint_cell(job, payload["index"], payload["cell"])
-            frame = {
-                "type": "explore-cell", "job": job.id,
-                "index": payload["index"], "point": payload["point"],
-                "cell": payload["cell"],
-            }
-        else:
+        grid_op = _GRID_CHANNELS.get(channel)
+        if grid_op is not None:
+            self._checkpoint_cell(job, payload["index"],
+                                  payload[grid_op.field])
+        elif channel != "trace":
             return
+        frame: dict[str, Any] = {"type": channel, "job": job.id}
+        frame.update((key, value) for key, value in payload.items()
+                     if key != "channel")
         if job.trace_id is not None:
             frame["trace"] = job.trace_id
         await job.publish_stream(frame)
@@ -1312,15 +1210,11 @@ class SimulationService:
         if self.store is None or job.store_ctx is None:
             return
         ctx = job.store_ctx
+        point_index, seed = ctx["grid"][index]
         try:
-            if ctx["kind"] == "sweep":
-                self.store.put(ctx["net_sha"], SWEEP_POINT_KEY,
-                               ctx["seeds"][index], ctx["skey"], payload)
-            else:
-                point_index, seed = ctx["grid"][index]
-                self.store.put(ctx["net_shas"][point_index],
-                               ctx["point_keys"][point_index], seed,
-                               ctx["skey"], payload)
+            self.store.put(ctx["net_shas"][point_index],
+                           ctx["point_keys"][point_index], seed,
+                           ctx["skey"], payload)
         except StoreError as error:
             log.warning("store: dropping checkpoint for job %s cell %d "
                         "(%s)", job.id, index, error)
@@ -1430,11 +1324,8 @@ class SimulationService:
             await send({"type": "pong", "id": request_id,
                         "version": PROTOCOL_VERSION})
             return None
-        if op in ("submit", "sweep", "explore"):
-            spec_cls: Any = {
-                "submit": JobSpec, "sweep": SweepSpec,
-                "explore": ExploreSpec,
-            }[op]
+        spec_cls = SPEC_CLASSES.get(op) if isinstance(op, str) else None
+        if spec_cls is not None:
             try:
                 spec = spec_cls.from_payload(message)
             except ProtocolError as error:
@@ -1615,28 +1506,13 @@ class SimulationService:
         """
         if self.store is None or job.store_ctx is None:
             return []
-        ctx = job.store_ctx
-        frames: list[dict[str, Any]] = []
-        if ctx["kind"] == "sweep":
-            for position, seed in enumerate(ctx["seeds"]):
-                payload = self.store.get(ctx["net_sha"], SWEEP_POINT_KEY,
-                                         seed, ctx["skey"])
-                if payload is not None:
-                    frames.append({
-                        "type": "sweep-run", "job": job.id,
-                        "index": position, "run": payload,
-                    })
-        else:
-            for index, (point_index, seed) in enumerate(ctx["grid"]):
-                payload = self.store.get(ctx["net_shas"][point_index],
-                                         ctx["point_keys"][point_index],
-                                         seed, ctx["skey"])
-                if payload is not None:
-                    frames.append({
-                        "type": "explore-cell", "job": job.id,
-                        "index": index, "point": point_index,
-                        "cell": payload,
-                    })
+        op = GRID_OPS[job.spec.op]
+        grid = job.store_ctx["grid"]
+        frames = [
+            {"type": op.channel, "job": job.id,
+             **op.frame(index, grid[index][0], payload)}
+            for index, payload in self._scan_store(job.store_ctx).items()
+        ]
         if job.trace_id is not None:
             for frame in frames:
                 frame["trace"] = job.trace_id

@@ -184,9 +184,8 @@ class SweepResult:
         """SHA-256 over the per-run trace digests in ascending-seed
         order: one hash pinning every trace of the sweep, independent of
         how the seed grid was ordered or chunked."""
-        ordered = sorted(self.runs, key=lambda run: run.seed)
-        joined = "".join(run.trace_sha256 for run in ordered)
-        return hashlib.sha256(joined.encode("ascii")).hexdigest()
+        return grid_sha256((0, run.seed, run.trace_sha256)
+                           for run in self.runs)
 
     def aggregates_payload(self) -> dict[str, Any]:
         return {name: m.to_payload() for name, m in self.metrics.items()}
@@ -298,6 +297,265 @@ def _aggregate(
     }
 
 
+def grid_sha256(cells) -> str:
+    """One digest pinning a grid's traces, independent of seed order.
+
+    ``cells`` yields ``(point_index, seed, trace_sha256)``; the trace
+    digests are folded in (point, seed) order (stable, so duplicate
+    seeds keep their input order). A sweep's ``runs_sha256`` is this
+    digest of its one-point grid, an exploration's ``cells_sha256``
+    the digest of all its cells.
+    """
+    ordered = sorted(cells, key=lambda cell: cell[:2])
+    joined = "".join(digest for _point, _seed, digest in ordered)
+    return hashlib.sha256(joined.encode("ascii")).hexdigest()
+
+
+def grid_cells(n_points: int,
+               seeds: Sequence[int]) -> list[tuple[int, int]]:
+    """The (point_index, seed) grid in canonical point-major order."""
+    return [(point_index, seed)
+            for point_index in range(n_points) for seed in seeds]
+
+
+def scan_store(
+    store,
+    grid: Sequence[tuple[int, int]],
+    net_shas: Sequence[str],
+    point_keys: Sequence[str],
+    stop: str,
+) -> dict[int, dict[str, Any]]:
+    """Cell payloads the store already holds, keyed by grid index."""
+    stored: dict[int, dict[str, Any]] = {}
+    if store is not None:
+        for index, (point_index, seed) in enumerate(grid):
+            payload = store.get(net_shas[point_index],
+                                point_keys[point_index], seed, stop)
+            if payload is not None:
+                stored[index] = payload
+    return stored
+
+
+def cell_payload(pair: tuple[SweepRunSummary, dict[str, float]],
+                 ) -> dict[str, Any]:
+    """A cell's stored payload: the run summary plus its metric values."""
+    summary, values = pair
+    payload = summary.to_payload()
+    if values:
+        payload["metrics"] = {
+            name: float(value) for name, value in values.items()
+        }
+    return payload
+
+
+#: The resolution of a grid point with no cell left to run: nothing to
+#: compile for, and no backend selection to count.
+RESUMED = (None, "scalar", "resumed")
+
+
+def resolve_point(skeleton: Simulator, backend: str, needed: bool):
+    """One grid point's ``(program or None, selected, reason)``:
+    :data:`RESUMED` when no cell of the point is ``needed``. The
+    lockstep module is imported only when a point asks for it."""
+    if not needed:
+        return RESUMED
+    if backend == "scalar":
+        return None, "scalar", "requested"
+    from .lockstep import resolve_backend
+
+    # Raises ValueError on an unknown backend name.
+    return resolve_backend(skeleton, backend)
+
+
+def backend_counts(surface: str, resolutions) -> dict[str, int]:
+    """Obs-counter deltas for the engines a job's points ran on.
+
+    ``<surface>_backend_<selected>_total`` counts what actually ran;
+    a safe-class fallback additionally bumps
+    ``<surface>_backend_fallback_<reason>_total`` (reason slugs like
+    ``transition-actions`` become Prometheus-safe underscores). A
+    :data:`RESUMED` point ran nothing and counts nothing.
+    """
+    counts: dict[str, int] = {}
+    for resolution in resolutions:
+        if resolution == RESUMED:
+            continue
+        _program, selected, reason = resolution
+        names = [f"{surface}_backend_{selected}_total"]
+        if reason not in ("ok", "requested"):
+            names.append(f"{surface}_backend_fallback_"
+                         f"{reason.replace('-', '_')}_total")
+        for name in names:
+            counts[name] = counts.get(name, 0) + 1
+    return counts
+
+
+def cell_runner(
+    skeleton: Simulator,
+    resolution,
+    run_number: int,
+    until: float | None,
+    max_events: int | None,
+    want_stats: bool,
+    metrics: dict[str, Callable[[SimulationResult], float]] | None = None,
+    stat_metrics: dict[str, Callable[[TraceStatistics], float]] | None = None,
+) -> Callable[[int], tuple[SweepRunSummary, dict[str, float]]]:
+    """The per-cell runner of one grid point: ``seed -> (summary, values)``.
+
+    Runs the resolved program's generated loop when there is one and
+    forks the scalar skeleton otherwise; both give bit-identical
+    summaries. The in-process grid and the service's grid executor
+    run every cell through this.
+    """
+    program = resolution[0]
+    metrics = metrics or {}
+    stat_metrics = stat_metrics or {}
+    if program is not None:
+        return lambda seed: program.run_seed(
+            seed, run_number, until, max_events, want_stats, metrics,
+            stat_metrics,
+        )
+    return lambda seed: _sweep_one(
+        skeleton, seed, run_number, until, max_events, want_stats, metrics,
+        stat_metrics,
+    )
+
+
+@dataclass
+class GridRun:
+    """What :func:`run_grid` produced, cells in grid order."""
+
+    pairs: list[tuple[SweepRunSummary, dict[str, float]]]
+    stored: set[int]
+    resolutions: list[tuple[Any, str, str]]
+    stop: str
+
+
+def run_grid(
+    label: str,
+    skeletons: Sequence[Simulator],
+    seeds: Sequence[int],
+    until: float | None,
+    max_events: int | None,
+    run_number: int,
+    workers: int,
+    want_stats: bool,
+    metrics: dict[str, Callable[[SimulationResult], float]] | None,
+    stat_metrics: dict[str, Callable[[TraceStatistics], float]] | None,
+    backend: str,
+    store=None,
+    store_keys: tuple[Sequence[str], Sequence[str]] | None = None,
+    on_cell: Callable[[int, tuple[SweepRunSummary, dict[str, float]], bool],
+                      Any] | None = None,
+) -> GridRun:
+    """Run every (point, seed) cell of a grid: the core of both drivers.
+
+    :func:`run_sweep` is the one-point grid of this core and
+    :func:`~repro.dse.explore.run_exploration` the many-point one. Each
+    point has a pristine skeleton. The core validates the arguments,
+    serves the cells ``store`` already holds (keyed by ``store_keys``,
+    the per-point net hashes and point keys), resolves each point that
+    still has cells to run, and runs those through :func:`cell_runner`.
+    With ``workers > 1`` the cells fan out over forked children in
+    contiguous chunks, so the seeds of one point stay on one worker.
+    Fresh cells are checkpointed in the parent as they complete.
+    ``on_cell(index, pair, stored)`` fires for every stored cell first,
+    in grid order, then for each fresh cell as it completes.
+    """
+    seeds = list(seeds)
+    if not seeds:
+        raise ValueError("need at least one seed")
+    if not all(isinstance(seed, int) and not isinstance(seed, bool)
+               for seed in seeds):
+        raise ValueError(f"{label} seeds must be integers")
+    if until is None and max_events is None:
+        raise ValueError("provide until=, max_events=, or both")
+    if workers < 1:
+        raise ValueError("need at least one worker")
+    metrics = dict(metrics or {})
+    stat_metrics = dict(stat_metrics or {})
+    overlap = metrics.keys() & stat_metrics.keys()
+    if overlap:
+        raise ValueError(f"metric names declared twice: {sorted(overlap)}")
+    user_names = list(metrics) + list(stat_metrics)
+
+    from ..dse.store import stop_key
+
+    skey = stop_key(until, max_events, run_number, want_stats, user_names)
+    grid = grid_cells(len(skeletons), seeds)
+    pairs: dict[int, tuple[SweepRunSummary, dict[str, float]]] = {}
+    if store is not None:
+        for index, payload in scan_store(store, grid, *store_keys,
+                                         skey).items():
+            values = {name: float(payload["metrics"][name])
+                      for name in user_names}
+            pairs[index] = (summary_from_payload(payload), values)
+            if on_cell is not None:
+                on_cell(index, pairs[index], True)
+    stored = set(pairs)
+    missing = [index for index in range(len(grid)) if index not in stored]
+
+    needed = {grid[index][0] for index in missing}
+    resolutions = [resolve_point(skeleton, backend, point in needed)
+                   for point, skeleton in enumerate(skeletons)]
+    runners = [
+        cell_runner(skeleton, resolution, run_number, until, max_events,
+                    want_stats, metrics, stat_metrics)
+        for skeleton, resolution in zip(skeletons, resolutions)
+    ]
+
+    def run_one(index: int) -> tuple[SweepRunSummary, dict[str, float]]:
+        point_index, seed = grid[index]
+        return runners[point_index](seed)
+
+    def settle(index: int,
+               pair: tuple[SweepRunSummary, dict[str, float]]) -> None:
+        """Checkpoint + stream one fresh cell (parent process only)."""
+        pairs[index] = pair
+        if store is not None:
+            point_index, seed = grid[index]
+            store.put(store_keys[0][point_index], store_keys[1][point_index],
+                      seed, skey, cell_payload(pair))
+        if on_cell is not None:
+            on_cell(index, pair, False)
+
+    workers = min(workers, max(1, len(missing)))
+    if workers > 1 and fork_available():
+        map_chunked_forked(run_one, _contiguous_chunks(missing, workers),
+                           on_result=settle, label=f"{label} worker")
+        lost = [index for index in missing if index not in pairs]
+        if lost:
+            raise RuntimeError(
+                f"{label} workers returned no result for cells {lost}"
+            )
+    else:
+        for index in missing:
+            settle(index, run_one(index))
+    return GridRun(
+        pairs=[pairs[index] for index in range(len(grid))],
+        stored=stored,
+        resolutions=resolutions,
+        stop=skey,
+    )
+
+
+def _contiguous_chunks(positions: list[int], workers: int) -> list[list[int]]:
+    """Split positions into ``workers`` contiguous, near-equal chunks.
+
+    Contiguity is deliberate: cells are enumerated point-major, so a
+    contiguous chunk keeps consecutive seeds of one point on one worker
+    and each child touches as few compiled skeletons as possible.
+    """
+    base, extra = divmod(len(positions), workers)
+    chunks: list[list[int]] = []
+    start = 0
+    for w in range(workers):
+        size = base + (1 if w < extra else 0)
+        chunks.append(positions[start:start + size])
+        start += size
+    return chunks
+
+
 def run_sweep(
     skeleton: Simulator | PetriNet,
     seeds: Sequence[int],
@@ -340,156 +598,42 @@ def run_sweep(
     already holds are served from it (``on_run`` still fires, in seed
     position order, before any fresh run), only the missing seeds
     simulate, and fresh summaries are checkpointed as they complete.
-    Sweep cells share the explore keyspace under the synthetic empty
-    grid point (:data:`~repro.dse.store.SWEEP_POINT_KEY`), so a sweep
-    resumed from a store is byte-identical to a cold one — the
-    ``resumed`` count on the result is the only difference, and it is
-    excluded from the payload.
+    A sweep is the one-point grid of :func:`run_grid`: its cells are
+    the explore cells of the empty point
+    (:data:`~repro.dse.store.SWEEP_POINT_KEY`), so a sweep resumed from
+    a store is byte-identical to a cold one — the ``resumed`` count on
+    the result is the only difference, and it is excluded from the
+    payload.
     """
     if isinstance(skeleton, PetriNet):
         skeleton = Simulator(skeleton)
-    seeds = list(seeds)
-    if not seeds:
-        raise ValueError("need at least one seed")
-    if not all(isinstance(seed, int) and not isinstance(seed, bool)
-               for seed in seeds):
-        raise ValueError("sweep seeds must be integers")
-    if until is None and max_events is None:
-        raise ValueError("provide until=, max_events=, or both")
-    if workers < 1:
-        raise ValueError("need at least one worker")
-    metrics = dict(metrics or {})
-    stat_metrics = dict(stat_metrics or {})
-    overlap = metrics.keys() & stat_metrics.keys()
-    if overlap:
-        raise ValueError(f"metric names declared twice: {sorted(overlap)}")
-    user_names = list(metrics) + list(stat_metrics)
+    user_names = list(metrics or {}) + list(stat_metrics or {})
     reserved = set(user_names) & set(BUILTIN_AGGREGATES)
     if reserved:
         raise ValueError(
             f"metric names collide with builtin aggregates: {sorted(reserved)}"
         )
-
-    # Store scan first: stored cells never simulate. Keyed exactly like
-    # an exploration cell of the empty point — net hash over the
-    # canonical source, stop key carrying the payload shape — so sweeps
-    # and service jobs and explores of the same net share checkpoints.
-    store_ctx = None
-    stored_pairs: dict[int, tuple[SweepRunSummary, dict[str, float]]] = {}
+    store_keys = None
     if store is not None:
-        from ..dse.store import SWEEP_POINT_KEY, stop_key
+        from ..dse.store import SWEEP_POINT_KEY
         from ..lang.format import format_net
         from ..lang.parser import canonical_net_source
 
         source = canonical_net_source(format_net(skeleton.net))
         net_sha = hashlib.sha256(source.encode("utf-8")).hexdigest()
-        skey = stop_key(until, max_events, run_number, want_stats,
-                        user_names)
-        store_ctx = (net_sha, skey)
-        for position, seed in enumerate(seeds):
-            payload = store.get(net_sha, SWEEP_POINT_KEY, seed, skey)
-            if payload is None:
-                continue
-            values = {
-                name: float(payload["metrics"][name])
-                for name in user_names
-            } if user_names else {}
-            stored_pairs[position] = (summary_from_payload(payload), values)
-        for position in sorted(stored_pairs):
-            if on_run is not None:
-                on_run(position, stored_pairs[position][0])
-    run_positions = [position for position in range(len(seeds))
-                     if position not in stored_pairs]
-
-    # Lazily imported: lockstep pulls the codegen layer in only when a
-    # sweep actually asks for it (and "scalar" never does). A fully
-    # resumed sweep skips backend resolution outright — there is
-    # nothing left to run, so nothing to compile for.
-    program = None
-    selected, reason = "scalar", "requested"
-    if backend != "scalar" and run_positions:
-        from .lockstep import resolve_backend
-
-        # Raises ValueError on an unknown backend name.
-        program, selected, reason = resolve_backend(skeleton, backend)
-    elif backend != "scalar":
-        selected, reason = "scalar", "resumed"
-
-    if program is not None:
-        def run_one(
-            slot: int,
-        ) -> tuple[SweepRunSummary, dict[str, float]]:
-            return program.run_seed(
-                seeds[run_positions[slot]], run_number, until, max_events,
-                want_stats, metrics, stat_metrics,
-            )
-    else:
-        def run_one(
-            slot: int,
-        ) -> tuple[SweepRunSummary, dict[str, float]]:
-            return _sweep_one(
-                skeleton, seeds[run_positions[slot]], run_number, until,
-                max_events, want_stats, metrics, stat_metrics,
-            )
-
-    def settle(slot: int,
-               pair: tuple[SweepRunSummary, dict[str, float]]) -> None:
-        """Checkpoint + stream one fresh run (parent process only)."""
-        position = run_positions[slot]
-        summary, values = pair
-        if store_ctx is not None:
-            payload = summary.to_payload()
-            if values:
-                payload["metrics"] = {
-                    name: float(value) for name, value in values.items()
-                }
-            store.put(store_ctx[0], SWEEP_POINT_KEY, seeds[position],
-                      store_ctx[1], payload)
-        if on_run is not None:
-            on_run(position, summary)
-
-    workers = min(workers, max(1, len(run_positions)))
-    if len(run_positions) > 1 and workers > 1 and fork_available():
-        fresh = _run_chunked(run_one, len(run_positions), workers, settle)
-    else:
-        fresh = []
-        for slot in range(len(run_positions)):
-            pair = run_one(slot)
-            settle(slot, pair)
-            fresh.append(pair)
-    pairs = list(stored_pairs.items())
-    pairs += [(run_positions[slot], pair)
-              for slot, pair in enumerate(fresh)]
-    pairs = [pair for _position, pair in sorted(pairs)]
+        store_keys = ([net_sha], [SWEEP_POINT_KEY])
+    run = run_grid(
+        "sweep", [skeleton], seeds, until, max_events, run_number, workers,
+        want_stats, metrics, stat_metrics, backend, store, store_keys,
+        on_cell=(None if on_run is None else
+                 lambda index, pair, _stored: on_run(index, pair[0])),
+    )
+    _program, selected, reason = run.resolutions[0]
     return SweepResult(
-        runs=[summary for summary, _values in pairs],
-        metrics=_aggregate(pairs, user_names, confidence),
+        runs=[summary for summary, _values in run.pairs],
+        metrics=_aggregate(run.pairs, user_names, confidence),
         backend=selected,
         backend_requested=backend,
         backend_reason=reason,
-        resumed=len(stored_pairs),
+        resumed=len(run.stored),
     )
-
-
-def _run_chunked(
-    run_one: Callable[[int], tuple[SweepRunSummary, dict[str, float]]],
-    n_runs: int,
-    workers: int,
-    on_pair: Callable[[int, tuple[SweepRunSummary, dict[str, float]]], Any],
-) -> list[tuple[SweepRunSummary, dict[str, float]]]:
-    """Fan run positions across forked workers, one fork per *chunk*.
-
-    Each child runs its strided chunk of positions (via the shared
-    :func:`~repro.sim.experiment.map_chunked_forked` loop) and streams
-    one message per completed run; ``on_pair`` fires in the *parent* as
-    runs finish (so store checkpointing and ``on_run`` streaming happen
-    exactly once) and everything is reassembled in position order.
-    """
-    chunks = [list(range(w, n_runs, workers)) for w in range(workers)]
-    collected = map_chunked_forked(run_one, chunks, on_pair,
-                                   label="sweep worker")
-    missing = [i for i in range(n_runs) if i not in collected]
-    if missing:
-        raise RuntimeError(f"sweep workers returned no result for runs "
-                           f"{missing}")
-    return [collected[i] for i in range(n_runs)]

@@ -30,9 +30,9 @@ from repro.dse import (
     run_exploration,
     stop_key,
 )
-from repro.dse import explore as explore_module
 from repro.lang.format import format_net
 from repro.lang.parser import parse_net
+from repro.sim import sweep as sweep_module
 from repro.processor import (
     CacheConfig,
     PipelineConfig,
@@ -317,7 +317,8 @@ class TestRunExploration:
 
     def test_serial_fallback_without_fork(self, monkeypatch):
         expected = run_exploration(TEMPLATE, small_space(), [1], until=40)
-        monkeypatch.setattr(explore_module, "fork_available", lambda: False)
+        # The fan-out decision lives in the grid core both drivers share.
+        monkeypatch.setattr(sweep_module, "fork_available", lambda: False)
         fallback = run_exploration(TEMPLATE, small_space(), [1], until=40,
                                    workers=4)
         assert canonical_json(expected.to_payload()) == canonical_json(

@@ -87,6 +87,30 @@ class TestServerSideStoreSharing:
         assert warm.runs_sha256 == cold_sweep.runs_sha256()
         assert stats["queue"]["resumed_cells"] == 2
 
+    def test_resumed_sweep_counts_no_engine_work(self, tmp_path,
+                                                 pipeline_source):
+        # A fully resumed sweep replays stored runs without simulating
+        # them, so the engine counters must not move: only the
+        # resumed-runs counter does.
+        seeds = (1, 2, 3, 4)
+        store_path = str(tmp_path / "fleet.sqlite")
+        with ServerThread(workers=1, store_path=store_path) as server:
+            with server.client() as client:
+                client.sweep(pipeline_source, seeds, until=500.0)
+                before = client.metrics()["metrics"]["counters"]
+                warm = client.sweep(pipeline_source, seeds, until=500.0)
+                after = client.metrics()["metrics"]["counters"]
+        assert warm.resumed_cells == len(seeds)
+
+        def delta(name):
+            return after.get(name, 0) - before.get(name, 0)
+
+        assert delta("sweep_runs_resumed_total") == len(seeds)
+        assert delta("sweep_runs_total") == 0
+        assert delta("engine_runs_total") == 0
+        assert delta("engine_events_started_total") == 0
+        assert delta("engine_events_finished_total") == 0
+
     def test_explore_resumes_across_servers(self, tmp_path):
         store_path = str(tmp_path / "fleet.sqlite")
         params = explore_params().to_payload()

@@ -10,6 +10,7 @@ import asyncio
 import io
 import logging
 import multiprocessing
+import socket
 import threading
 import time
 
@@ -20,6 +21,7 @@ from repro.obs.spans import cell_spans, read_spans, spans_by_trace
 from repro.processor import build_pipeline_net
 from repro.service import (
     ClientDisconnected,
+    ExploreSpec,
     JobQueue,
     JobSpec,
     ProtocolError,
@@ -36,6 +38,7 @@ from repro.service.faults import (
     FaultConfigError,
     claim,
 )
+from repro.service.protocol import decode, encode
 from repro.service.queue import JobState
 from repro.service.server import SimulationService
 from repro.sim import fork_available, simulate
@@ -68,6 +71,20 @@ def _await_state(client, job_id, state, deadline=15.0):
             f"job {job_id} never reached {state}"
         )
         time.sleep(0.02)
+
+
+def _raw_frames(socket_path, request, deadline=60.0):
+    """Every frame the server answers ``request`` with, up to the
+    terminal one, read off a bare socket (retry frames included)."""
+    frames = []
+    with socket.socket(socket.AF_UNIX, socket.SOCK_STREAM) as sock:
+        sock.settimeout(deadline)
+        sock.connect(socket_path)
+        reader = sock.makefile("rb")
+        sock.sendall(encode(request))
+        while not frames or frames[-1]["type"] not in ("result", "error"):
+            frames.append(decode(reader.readline()))
+    return frames
 
 
 def _await_no_forked_children(deadline=10.0):
@@ -348,6 +365,51 @@ class TestCrashRecovery:
             assert cell["backend_reason"]
             assert not cell["skipped"]
             assert cell["elapsed_s"] > 0
+
+    def test_killed_explore_retries_to_identical_cells(self, monkeypatch,
+                                                       tmp_path):
+        # Explore jobs run the same grid executor as sweeps, so the
+        # kill-child fault reaches them too: the SIGKILL lands mid-grid
+        # (after 20 engine events, inside the fifth of eight cells), the
+        # retry restreams every cell, and the result equals a clean run.
+        from repro.dse import ParamSpace
+        from repro.dse.smoke import TEMPLATE
+
+        params = (ParamSpace().values("tokens", [2, 4])
+                  .values("delay", [1, 2]).to_payload())
+        spec = ExploreSpec(net_source=TEMPLATE, params=params,
+                           seeds=(1, 2), until=80)
+        with ServerThread(workers=1) as clean_server:
+            with clean_server.client() as client:
+                clean = client.explore(TEMPLATE, params, (1, 2), until=80)
+
+        monkeypatch.setenv(FAULTS_ENV, "kill-child=20:once")
+        monkeypatch.setenv(STATE_DIR_ENV, str(tmp_path))
+        obs_dir = tmp_path / "obs"
+        thread = ServerThread(workers=1, obs_log=str(obs_dir))
+        try:
+            frames = _raw_frames(thread.socket_path,
+                                 {"op": "explore", "id": 1,
+                                  **spec.to_payload()})
+        finally:
+            thread.stop()
+        kinds = [frame["type"] for frame in frames]
+        assert kinds.count("retry") == 1
+        retry = kinds.index("retry")
+        assert 0 < kinds[:retry].count("explore-cell") < 8
+        cells = {frame["index"]: frame["cell"] for frame in frames[retry:]
+                 if frame["type"] == "explore-cell"}
+        assert cells == clean.cells
+        result = frames[-1]
+        assert result["type"] == "result"
+        assert result["summary"]["run_cells_sha256"] == \
+            clean.summary["run_cells_sha256"]
+
+        timeline = spans_by_trace(read_spans(obs_dir))[result["trace"]]
+        events = [record["event"] for record in timeline]
+        assert events.count("span-start") == 1
+        assert events.count("span-end") == 1
+        assert timeline[-1]["attempts"] == 2
 
     def test_repeated_crashes_quarantine_the_job(self, monkeypatch,
                                                  pipeline_source):
