@@ -2,9 +2,9 @@
 
 This PR's tentpole claim: the paper's Figure-5 statistics workload —
 many seeds over one model — is served fastest as **one** sweep job
-(one frame, one queue entry, one forked child, one compiled-skeleton
-fork per run) rather than N independent submissions each paying the
-queue/fork/socket round trip.
+(one frame, one queue entry, one forked child per idle worker slot, one
+compiled-skeleton fork per run) rather than N independent submissions
+each paying the queue/fork/socket round trip.
 
 Two measurements against a live server on the Figure-5 net:
 

@@ -866,7 +866,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_serve.add_argument("--port", type=int, default=None,
                          help="listen on TCP (0 picks a free port)")
     p_serve.add_argument("--workers", type=int, default=2,
-                         help="simulation worker pool size")
+                         help="simulation worker pool size; slots idle "
+                              "when a sweep or explore job starts also "
+                              "split that job's cells")
     p_serve.add_argument("--cache-size", type=int, default=32,
                          help="compiled-net cache capacity")
     p_serve.add_argument("--max-pending", type=int, default=256,

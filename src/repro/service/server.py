@@ -3,16 +3,22 @@
 Architecture: connections are cheap asyncio tasks that parse NDJSON
 requests and subscribe to jobs; simulation work happens in a small worker
 pool. Each worker coroutine pulls the highest-priority job, resolves its
-net through the :class:`CompiledNetCache`, and runs the simulation in a
-**forked child** via the same :class:`~repro.sim.experiment.ForkedTask`
+net through the :class:`CompiledNetCache`, and runs the simulation in
+**forked children** via the same :class:`~repro.sim.experiment.ForkedTask`
 machinery that fans out :class:`~repro.sim.Experiment` replications — the
 compiled net (with its callables) is inherited by memory image, never
-pickled, and the GIL never serializes two runs. Results stream back
-through the child's pipe as batched trace lines plus one final summary;
-the full trace is never materialized server-side (``keep_events=False``).
+pickled, and the GIL never serializes two runs. A ``submit`` runs in one
+child. A grid job (sweep or exploration) splits its fresh cells into
+contiguous chunks, one child per worker slot idle at dispatch (its own
+included), so a lone sweep uses every slot while a loaded server keeps
+one child per job. Results stream back through the children's pipes as
+batched trace lines or cell frames; the parent builds a grid job's
+result body from the cells it forwarded, and the full trace is never
+materialized server-side (``keep_events=False``).
 
-Platforms without ``fork`` fall back to running jobs on threads: same
-protocol, same results, reduced parallelism and no mid-run cancellation.
+Platforms without ``fork`` fall back to running jobs on threads, one
+thread per job: same protocol, same results, reduced parallelism and no
+mid-run cancellation.
 """
 
 from __future__ import annotations
@@ -43,6 +49,7 @@ from ..sim.sweep import (
     _aggregate,
     backend_counts,
     cell_runner,
+    contiguous_chunks,
     grid_cells,
     grid_sha256,
     scan_store,
@@ -107,15 +114,16 @@ def _emit_cell_span(emit, kind: str, *, seed: int,
                     point: int | None = None, summary=None,
                     backend: str, backend_reason: str,
                     skipped: bool = False) -> None:
-    """Ship one child-span record from the executing child to the server.
+    """Ship one child-span record to the server.
 
-    Like the ``obs`` deltas, the record rides the result pipe on its own
-    ``span`` channel and is never forwarded to clients — the server
-    stamps the parent identity (``trace_id``/``job``/``attempt``, which
-    only it knows) and writes the ``cell-span`` JSONL record. Skipped
-    cells (served from the client's ResultStore) still get a span, with
-    ``skipped: true`` and zero duration, so readers can compute the
-    cache-hit ratio from the timeline alone.
+    Like the ``obs`` deltas, a simulated cell's record rides the result
+    pipe on its own ``span`` channel and is never forwarded to clients —
+    the server stamps the parent identity (``trace_id``/``job``/
+    ``attempt``, which only it knows) and writes the ``cell-span`` JSONL
+    record. Cells that did not run (the client's ``skip`` list, or
+    resumed from the server's result store) still get a span, emitted by
+    the server itself with ``skipped: true`` and zero duration, so
+    readers can compute the cache-hit ratio from the timeline alone.
     """
     record: dict[str, Any] = {
         "kind": kind,
@@ -289,10 +297,11 @@ def _sweep_summary(prepared, seeds, grid, cells, fresh, resumed):
 
 def _explore_summary(prepared, seeds, grid, cells, fresh, resumed):
     """An exploration's result body: cell counts over the whole grid,
-    engine totals and ``run_cells_sha256`` over the cells actually run
-    (equal to the in-process ``cells_sha256`` when nothing was skipped
-    or resumed)."""
+    engine totals over the cells actually run, and ``run_cells_sha256``
+    over every cell the job returns, fresh and store-resumed (equal to
+    the in-process ``cells_sha256`` when the client skipped nothing)."""
     ran = [cells[index] for index in fresh]
+    returned = [index for index, cell in enumerate(cells) if cell is not None]
     return {
         "summary": {
             "net": prepared[0][1].net.name if prepared else "",
@@ -305,7 +314,8 @@ def _explore_summary(prepared, seeds, grid, cells, fresh, resumed):
             "events_started": sum(run.events_started for run in ran),
             "events_finished": sum(run.events_finished for run in ran),
             "run_cells_sha256": grid_sha256(
-                (*grid[index], cells[index].trace_sha256) for index in fresh
+                (*grid[index], cells[index].trace_sha256)
+                for index in returned
             ),
             "net_shas": [sha for _point, _compiled, sha in prepared],
         },
@@ -314,14 +324,16 @@ def _explore_summary(prepared, seeds, grid, cells, fresh, resumed):
 
 @dataclass(frozen=True)
 class GridOp:
-    """What one grid op changes about :func:`execute_grid_job`.
+    """What one grid op changes about a grid job.
 
     ``channel`` names the op's cell frames and cell spans and ``field``
     the payload key inside a cell frame; ``point`` says whether frames
     and spans carry the point index. ``surface`` prefixes the backend
-    counters, ``counters`` names the cells-run, cells-resumed and (for
-    explore) cells-skipped counters, and ``summarize`` builds the
-    result frame body.
+    counters, ``counters`` names the cells-run (counted by each chunk
+    child), cells-resumed and (for explore) cells-skipped counters
+    (counted by the server parent), and ``summarize`` builds the result
+    frame body in the parent; ``stats`` says whether it reads the cells'
+    statistics.
     """
 
     channel: str
@@ -330,6 +342,14 @@ class GridOp:
     surface: str
     counters: tuple[str, ...]
     summarize: Callable[..., dict[str, Any]]
+    stats: bool
+
+    def summary(self, payload: dict[str, Any]) -> SweepRunSummary:
+        """What the parent keeps of one cell until the job ends: its run
+        summary, with the statistics only when ``summarize`` reads them."""
+        if not self.stats:
+            payload = {**payload, "stats": None}
+        return summary_from_payload(payload)
 
     def frame(self, index: int, point: int,
               payload: dict[str, Any]) -> dict[str, Any]:
@@ -346,11 +366,11 @@ class GridOp:
 GRID_OPS = {
     "sweep": GridOp("sweep-run", "run", False, "sweep",
                     ("sweep_runs_total", "sweep_runs_resumed_total"),
-                    _sweep_summary),
+                    _sweep_summary, stats=True),
     "explore": GridOp("explore-cell", "cell", True, "explore",
                       ("dse_cells_run_total", "dse_cells_resumed_total",
                        "dse_cells_skipped_total"),
-                      _explore_summary),
+                      _explore_summary, stats=False),
 }
 _GRID_CHANNELS = {op.channel: op for op in GRID_OPS.values()}
 
@@ -359,10 +379,10 @@ def execute_grid_job(
     prepared: list[tuple[dict[str, Any], CompiledNet, str]],
     spec: SweepSpec | ExploreSpec,
     resolutions,
-    stored,
+    indices: list[int],
     emit,
-) -> dict[str, Any]:
-    """Run one grid job — every (point, seed) cell — to completion.
+) -> None:
+    """Run one chunk of a grid job: the cells at ``indices``, in order.
 
     A sweep is the one-point grid of the empty point and an exploration
     one point per bound parameter set (see
@@ -377,15 +397,14 @@ def execute_grid_job(
     streams a payload identical to what a ``submit`` of that point's
     net and seed would report.
 
-    Runs inside a single forked child (one cancellable job). ``stored``
-    maps grid indices to checkpointed cell payloads the server pulled
-    from its result store before the fork (SQLite handles must not
-    cross a fork, so the child never touches the store). They replay
-    as ordinary cell frames without simulating and count as
-    ``resumed_cells``; cells an exploration's ``skip`` names stream no
-    frame at all. Every cell gets a cell span, a zero-length
-    ``skipped`` one when nothing ran. The op's differences (frame
-    shape, counters, result body) come from :data:`GRID_OPS`.
+    Runs inside one of the job's forked children (or the job's thread
+    on fork-less platforms). ``indices`` are grid indices of fresh
+    cells; the server splits a job's fresh cells over its children with
+    :func:`~repro.sim.sweep.contiguous_chunks` and replays store-resumed
+    cells itself. Each cell streams its cell frame, then its cell span;
+    the chunk ends with one obs delta. The server builds the result body
+    from the cell frames it forwarded, so the chunk returns nothing. The
+    op's frame shape and counters come from :data:`GRID_OPS`.
     """
     faults.stall_worker()  # chaos hook: hold the deadline path to the fire
     # chaos hook: the generated loop has no per-event observers, so the
@@ -394,59 +413,53 @@ def execute_grid_job(
     saboteur = faults.event_saboteur()
     op = GRID_OPS[spec.op]
     want_stats = "stats" in spec.outputs
-    seeds = list(spec.seeds)
-    grid = grid_cells(len(prepared), seeds)
-    skip = set(getattr(spec, "skip", ()))
-    stored = stored or {}
-    fresh = [index for index, cell in enumerate(grid)
-             if cell not in skip and index not in stored]
-    running = {grid[index][0] for index in fresh}
-    resolutions = [resolution if point in running else RESUMED
-                   for point, resolution in enumerate(resolutions)]
+    grid = grid_cells(len(prepared), spec.seeds)
     runners = [
         cell_runner(compiled.template, resolution, spec.run_number,
                     spec.until, spec.max_events, want_stats)
         for (_point, compiled, _sha), resolution in zip(prepared, resolutions)
     ]
-    cells: list[SweepRunSummary | None] = [None] * len(grid)
-    resumed = 0
+    events_started = events_finished = 0
     run_started = time.perf_counter()
-    for index, (point, seed) in enumerate(grid):
-        summary = None
-        if (point, seed) in skip:
-            pass
-        elif index in stored:
-            payload = stored[index]
-            cells[index] = summary_from_payload(payload)
-            resumed += 1
-        else:
-            summary, _values = runners[point](seed)
-            payload = summary.to_payload()
-            cells[index] = summary
-        if cells[index] is not None:
-            emit({"channel": op.channel, **op.frame(index, point, payload)})
+    for index in indices:
+        point, seed = grid[index]
+        summary, _values = runners[point](seed)
+        events_started += summary.events_started
+        events_finished += summary.events_finished
+        emit({"channel": op.channel,
+              **op.frame(index, point, summary.to_payload())})
         _program, selected, reason = resolutions[point]
         _emit_cell_span(
             emit, op.channel, seed=seed, point=point if op.point else None,
             summary=summary, backend=selected, backend_reason=reason,
-            skipped=summary is None,
         )
-        if summary is not None and saboteur is not None:
+        if saboteur is not None:
             for _ in range(summary.events_started):
                 saboteur(None)
-    # Engine counters cover only the cells simulated here: a resumed
-    # cell's events were counted by the attempt that ran it.
-    ran = [cells[index] for index in fresh]
-    extra = dict(zip(op.counters,
-                     (len(fresh), resumed, len(grid) - len(fresh) - resumed)))
-    extra.update(backend_counts(op.surface, resolutions))
     _emit_obs_deltas(
         emit, time.perf_counter() - run_started,
-        events_started=sum(run.events_started for run in ran),
-        events_finished=sum(run.events_finished for run in ran),
-        runs=len(fresh), extra=extra,
+        events_started=events_started, events_finished=events_finished,
+        runs=len(indices), extra={op.counters[0]: len(indices)},
     )
-    return op.summarize(prepared, seeds, grid, cells, fresh, resumed)
+
+
+@dataclass
+class GridAttempt:
+    """One attempt of a grid job, as the server parent plans and tracks it.
+
+    ``fresh`` lists the grid indices to simulate, split into ``chunks``
+    (one forked child each); ``resolutions`` mark points with no fresh
+    cell :data:`~repro.sim.sweep.RESUMED`. ``cells`` starts with the
+    store-resumed cells and gains each fresh cell as its frame streams
+    (see :meth:`GridOp.summary`).
+    """
+
+    grid: list[tuple[int, int]]
+    fresh: list[int]
+    chunks: list[list[int]]
+    resolutions: list[tuple[Any, str, str]]
+    cells: dict[int, SweepRunSummary]
+    resumed: int
 
 
 class SimulationService:
@@ -501,6 +514,9 @@ class SimulationService:
         #: records — the jobs are still live work for the next lifetime.
         self._closing = False
         self.workers = workers
+        #: Worker slots running a job right now; the idle rest decide
+        #: how many children a grid job splits its cells over.
+        self._busy = 0
         self.immediate_budget = immediate_budget
         self.use_fork = fork_available() if use_fork is None else use_fork
         #: Default crash-retry budget for specs that don't set their own.
@@ -870,6 +886,7 @@ class SimulationService:
     async def _worker(self) -> None:
         while True:
             job = await self.queue.get()
+            self._busy += 1
             try:
                 await self._execute(job)
             except asyncio.CancelledError:
@@ -884,6 +901,8 @@ class SimulationService:
                     f"see the server log for the traceback",
                     code="internal-error",
                 )
+            finally:
+                self._busy -= 1
 
     def _resolve(self, compiled: CompiledNet, requested: str,
                  want_stats: bool, compiles: list[float]):
@@ -999,85 +1018,40 @@ class SimulationService:
         for seconds in compiles:
             self.metrics.counter("codegen_compiles_total").inc()
             self.metrics.histogram("codegen_seconds").observe(seconds)
-        executor: Any = (execute_grid_job if spec.op in GRID_OPS
-                         else execute_job)
         job.cached = cached
         if job.state is JobState.CANCELLED:
             self._finish(job, None, None)
             return
 
-        # Grid jobs consult the shared store per attempt: a crash retry
-        # (or a restart-recovered job) resumes from whatever cells the
-        # previous attempt already checkpointed.
-        args: tuple = (target, spec, resolution)
-        if executor is execute_grid_job:
-            stored = (self._consult_store(job, spec, target)
-                      if self.store is not None else {})
-            args += (stored,)
+        job.attempts += 1
+        attempt: GridAttempt | None = None
+        if spec.op in GRID_OPS:
+            attempt = await self._start_grid(job, spec, target, resolution)
+            calls = [(execute_grid_job,
+                      (target, spec, attempt.resolutions, chunk))
+                     for chunk in attempt.chunks]
+        else:
+            calls = [(execute_job, (target, spec, resolution))]
+
+        async def forward(payload: dict[str, Any]) -> None:
+            grid_op = _GRID_CHANNELS.get(payload.get("channel"))
+            if attempt is not None and grid_op is not None:
+                attempt.cells[payload["index"]] = grid_op.summary(
+                    payload[grid_op.field]
+                )
+            await self._publish_stream(job, payload)
 
         value: dict[str, Any] | None = None
         error_text: str | None = None
         crash: dict[str, Any] | None = None
         timed_out = False
-        job.attempts += 1
-        if self.use_fork:
-            task = ForkedTask(executor, args,
-                              label=f"job {job.id}")
-            job.cancel_hook = task.terminate
-            deadline = (time.monotonic() + spec.timeout
-                        if spec.timeout is not None else None)
-            try:
-                while True:
-                    budget = None
-                    if deadline is not None:
-                        budget = deadline - time.monotonic()
-                        if budget <= 0:
-                            timed_out = True
-                            task.terminate()
-                            break
-                    try:
-                        kind, payload = await asyncio.wait_for(
-                            asyncio.to_thread(task.next_message),
-                            timeout=budget,
-                        )
-                    except asyncio.TimeoutError:
-                        # Deadline expired mid-read. Terminate the child;
-                        # the abandoned reader thread wakes on the pipe
-                        # EOF and exits harmlessly (its "crashed" verdict
-                        # lands on a cancelled future and is dropped).
-                        timed_out = True
-                        task.terminate()
-                        break
-                    if kind == "msg":
-                        # Awaiting here pauses the pipe drain, which
-                        # blocks the child once the pipe fills: streamed
-                        # traces stay bounded end to end.
-                        await self._publish_stream(job, payload)
-                    elif kind == "ok":
-                        value = payload
-                        break
-                    elif kind == "crashed":
-                        crash = payload
-                        break
-                    else:
-                        error_text = payload
-                        break
-            finally:
-                await asyncio.to_thread(task.join)
-        else:
-            loop = asyncio.get_running_loop()
-
-            def emit(payload: dict[str, Any]) -> None:
-                # Blocks the executor thread until the subscribers have
-                # buffer space — the inline twin of the pipe backpressure.
-                asyncio.run_coroutine_threadsafe(
-                    self._publish_stream(job, payload), loop
-                ).result()
-
-            try:
-                value = await asyncio.to_thread(executor, *args, emit)
-            except PnutError as error:
-                error_text = str(error)
+        if job.state is not JobState.CANCELLED:
+            if self.use_fork:
+                value, error_text, crash, timed_out = await self._run_forked(
+                    job, calls, forward
+                )
+            else:
+                value, error_text = await self._run_inline(calls, forward)
         if job.state is JobState.CANCELLED:
             # Cancel wins over everything — including a crash whose
             # SIGKILL *was* the cancellation, and an expired deadline.
@@ -1107,7 +1081,185 @@ class SimulationService:
                 code="worker-crashed",
             )
             return
+        if attempt is not None and error_text is None:
+            value = self._grid_result(spec, target, attempt)
         self._finish(job, value, error_text)
+
+    async def _start_grid(self, job: Job, spec: Any, prepared,
+                          resolutions) -> GridAttempt:
+        """Plan one attempt of a grid job and replay its resumed cells.
+
+        Consults the store (per attempt, so a crash retry resumes from
+        every cell the crashed attempt checkpointed), then splits the
+        fresh cells into one contiguous chunk per worker slot idle right
+        now, this job's own included. A loaded server therefore keeps
+        one child per job, and a grid with one fresh cell forks once.
+        Store-resumed cells stream from here as ordinary cell frames,
+        and every cell that will not run gets its zero-length
+        ``skipped`` cell span here too; cells the client's ``skip``
+        names stream no frame at all.
+        """
+        stored = (self._consult_store(job, spec, prepared)
+                  if self.store is not None else {})
+        op = GRID_OPS[spec.op]
+        grid = grid_cells(len(prepared), spec.seeds)
+        skip = set(getattr(spec, "skip", ()))
+        fresh = [index for index, cell in enumerate(grid)
+                 if cell not in skip and index not in stored]
+        running = {grid[index][0] for index in fresh}
+        resolutions = [resolution if point in running else RESUMED
+                       for point, resolution in enumerate(resolutions)]
+        idle = self.workers - self._busy + 1 if self.use_fork else 1
+        width = min(idle, len(fresh))
+        attempt = GridAttempt(
+            grid=grid, fresh=fresh,
+            chunks=contiguous_chunks(fresh, width) if width else [],
+            resolutions=resolutions,
+            cells={index: op.summary(payload)
+                   for index, payload in stored.items()},
+            resumed=len(stored),
+        )
+        replay: list[dict[str, Any]] = []
+        fresh_set = set(fresh)
+        for index, (point, seed) in enumerate(grid):
+            if index in fresh_set:
+                continue
+            if index in stored:
+                replay.append({"channel": op.channel,
+                               **op.frame(index, point, stored[index])})
+            _program, selected, reason = resolutions[point]
+            _emit_cell_span(
+                replay.append, op.channel, seed=seed,
+                point=point if op.point else None,
+                backend=selected, backend_reason=reason, skipped=True,
+            )
+        for payload in replay:
+            await self._publish_stream(job, payload)
+        return attempt
+
+    def _grid_result(self, spec: Any, prepared,
+                     attempt: GridAttempt) -> dict[str, Any]:
+        """A finished grid job's result body, built from its cell payloads.
+
+        Fresh cells come from the frames the chunks streamed, resumed
+        ones from the store, and both go through
+        :func:`~repro.sim.sweep.summary_from_payload`, so the body does
+        not depend on how the cells were chunked or where they came
+        from. Also counts the
+        resumed and skipped cells and the backend selections, once per
+        job (each chunk counted the cells it ran).
+        """
+        op = GRID_OPS[spec.op]
+        grid = attempt.grid
+        lost = [index for index in attempt.fresh
+                if index not in attempt.cells]
+        if lost:
+            raise RuntimeError(f"grid chunks returned no cell for indices "
+                               f"{lost}")
+        cells = [attempt.cells.get(index) for index in range(len(grid))]
+        skipped = len(grid) - len(attempt.fresh) - attempt.resumed
+        counts = dict(zip(op.counters[1:], (attempt.resumed, skipped)))
+        counts.update(backend_counts(op.surface, attempt.resolutions))
+        for name, value in counts.items():
+            self.metrics.counter(name).inc(value)
+        return op.summarize(prepared, list(spec.seeds), grid, cells,
+                            attempt.fresh, attempt.resumed)
+
+    async def _run_forked(self, job: Job, calls, forward):
+        """Run each ``(fn, args)`` call in its own forked child.
+
+        Pumps every child's pipe concurrently through ``forward`` and
+        returns ``(value, error text, crash info, timed out)``, where
+        ``value`` is the last child's return value. The job's deadline,
+        cancellation (``job.cancel_hook``) and crash verdict cover all
+        of its children: the first child to crash, fail or outlive the
+        deadline ends the attempt, and every sibling is terminated.
+        """
+        tasks: list[ForkedTask] = []
+        for fn, args in calls:
+            started = time.perf_counter()
+            tasks.append(ForkedTask(fn, args, label=f"job {job.id}"))
+            self.metrics.counter("forks_total").inc()
+            self.metrics.histogram("fork_seconds").observe(
+                time.perf_counter() - started
+            )
+
+        def terminate_all() -> None:
+            for task in tasks:
+                task.terminate()
+
+        job.cancel_hook = terminate_all
+        deadline = (time.monotonic() + job.spec.timeout
+                    if job.spec.timeout is not None else None)
+        pumps = {asyncio.ensure_future(self._pump_child(task, forward))
+                 for task in tasks}
+        value: dict[str, Any] | None = None
+        error_text: str | None = None
+        crash: dict[str, Any] | None = None
+        timed_out = False
+        try:
+            while pumps and error_text is None and crash is None:
+                budget = None
+                if deadline is not None:
+                    budget = max(0.0, deadline - time.monotonic())
+                done, pumps = await asyncio.wait(
+                    pumps, timeout=budget,
+                    return_when=asyncio.FIRST_COMPLETED,
+                )
+                if not done:
+                    # Deadline expired mid-read. The abandoned reader
+                    # threads wake on the pipe EOF once their children
+                    # die and exit harmlessly.
+                    timed_out = True
+                    break
+                for pump in done:
+                    kind, payload = pump.result()
+                    if kind == "ok":
+                        value = payload
+                    elif kind == "crashed":
+                        crash = payload
+                    else:
+                        error_text = payload
+        finally:
+            for pump in pumps:
+                pump.cancel()
+            if pumps:
+                terminate_all()
+            await asyncio.to_thread(lambda: [task.join() for task in tasks])
+        return value, error_text, crash, timed_out
+
+    @staticmethod
+    async def _pump_child(task: ForkedTask, forward):
+        """Forward one child's messages until its terminal one."""
+        while True:
+            kind, payload = await asyncio.to_thread(task.next_message)
+            if kind != "msg":
+                return kind, payload
+            # Awaiting here pauses the pipe drain, which blocks the
+            # child once the pipe fills: streamed traces stay bounded
+            # end to end.
+            await forward(payload)
+
+    async def _run_inline(self, calls, forward):
+        """Run the calls on a thread, one after another (no fork).
+
+        Returns ``(value, error text)``: no crash to detect, no child
+        to kill on a deadline or a cancel.
+        """
+        loop = asyncio.get_running_loop()
+
+        def emit(payload: dict[str, Any]) -> None:
+            # Blocks the executor thread until the subscribers have
+            # buffer space — the inline twin of the pipe backpressure.
+            asyncio.run_coroutine_threadsafe(forward(payload), loop).result()
+
+        value = None
+        try:
+            for fn, args in calls:
+                value = await asyncio.to_thread(fn, *args, emit)
+        except PnutError as error:
+            return None, str(error)
+        return value, None
 
     def _retry(self, job: Job, crash: dict[str, Any]) -> None:
         """Park a crashed job and re-arm it after an exponential backoff."""

@@ -521,7 +521,7 @@ def run_grid(
 
     workers = min(workers, max(1, len(missing)))
     if workers > 1 and fork_available():
-        map_chunked_forked(run_one, _contiguous_chunks(missing, workers),
+        map_chunked_forked(run_one, contiguous_chunks(missing, workers),
                            on_result=settle, label=f"{label} worker")
         lost = [index for index in missing if index not in pairs]
         if lost:
@@ -539,12 +539,14 @@ def run_grid(
     )
 
 
-def _contiguous_chunks(positions: list[int], workers: int) -> list[list[int]]:
+def contiguous_chunks(positions: list[int], workers: int) -> list[list[int]]:
     """Split positions into ``workers`` contiguous, near-equal chunks.
 
     Contiguity is deliberate: cells are enumerated point-major, so a
     contiguous chunk keeps consecutive seeds of one point on one worker
-    and each child touches as few compiled skeletons as possible.
+    and each child touches as few compiled skeletons as possible. The
+    in-process :func:`run_grid` and the service's grid jobs both split
+    their fresh cells with this.
     """
     base, extra = divmod(len(positions), workers)
     chunks: list[list[int]] = []

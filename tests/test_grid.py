@@ -5,7 +5,9 @@ in-process drivers, so a fault shared by both would pass them. The
 digests here are fixed values of the Figure-5 sweep and of the explore
 smoke grid: a change to either grid path, to the per-cell runner, or to
 how cells are ordered, stored or digested moves them. Each pin is
-checked on both engines, in-process and through a ``ServerThread``.
+checked on both engines, in-process and through a ``ServerThread`` with
+one worker slot and with two (where a grid job's cells split over two
+forked children).
 
 The hypothesis property below pins the grid orchestration itself:
 whatever the seed list (duplicates allowed), whichever cells a result
@@ -65,9 +67,11 @@ def fig5_source():
     return format_net(build_pipeline_net())
 
 
-@pytest.fixture(scope="module")
-def server():
-    thread = ServerThread(workers=1)
+@pytest.fixture(scope="module", params=[1, 2], ids=lambda n: f"workers{n}")
+def server(request):
+    """A one-slot server, and a two-slot one whose idle slot splits each
+    grid job's cells over two forked children."""
+    thread = ServerThread(workers=request.param)
     yield thread
     thread.stop()
 
@@ -106,6 +110,23 @@ class TestExplorePin:
         assert outcome.summary["run_cells_sha256"] == EXPLORE_CELLS_SHA256
         assert outcome.summary["cells_run"] == 8
         assert sorted(outcome.cells) == list(range(8))
+
+    def test_served_resumed(self, tmp_path):
+        # The digest covers every cell the job returns: a rerun served
+        # wholly from the server's store reports the cold value.
+        store_path = str(tmp_path / "cells.sqlite")
+        with ServerThread(store_path=store_path) as thread:
+            with thread.client() as client:
+                outcomes = [
+                    client.explore(TEMPLATE, explore_space().to_payload(),
+                                   EXPLORE_SEEDS, until=EXPLORE_UNTIL)
+                    for _ in range(2)
+                ]
+        assert [outcome.summary["run_cells_sha256"]
+                for outcome in outcomes] == [EXPLORE_CELLS_SHA256] * 2
+        assert [outcome.summary["resumed_cells"]
+                for outcome in outcomes] == [0, 8]
+        assert outcomes[1].cells == outcomes[0].cells
 
 
 # ---------------------------------------------------------------------------

@@ -584,6 +584,35 @@ class TestSubmitBackend:
         assert counters["submit_backend_lockstep_total"] == 3
         assert counters["sweep_backend_lockstep_total"] == 3
 
+    @pytest.mark.skipif(not fork_available(), reason="platform lacks fork")
+    def test_idle_slots_split_a_sweep(self, pipeline_source):
+        # On an idle two-slot server a sweep splits over both slots; a
+        # one-cell sweep and a submit fork one child each.
+        thread = ServerThread(workers=2)
+        try:
+            with thread.client() as client:
+                forks = []
+                for request in (
+                    lambda: client.sweep(pipeline_source, list(range(1, 17)),
+                                         until=100),
+                    lambda: client.sweep(pipeline_source, [1], until=100),
+                    lambda: client.submit(pipeline_source, until=100,
+                                          seed=1),
+                ):
+                    before = client.metrics()["metrics"]
+                    request()
+                    after = client.metrics()["metrics"]
+                    forks.append((
+                        _delta(before["counters"], after["counters"],
+                               "forks_total"),
+                        after["histograms"]["fork_seconds"]["count"]
+                        - before["histograms"].get(
+                            "fork_seconds", {"count": 0})["count"],
+                    ))
+        finally:
+            thread.stop()
+        assert forks == [(2, 2), (1, 1), (1, 1)]
+
 
 @pytest.mark.skipif(not fork_available(), reason="platform lacks fork")
 class TestCancellationAndBackpressure:

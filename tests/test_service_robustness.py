@@ -10,12 +10,15 @@ import asyncio
 import io
 import logging
 import multiprocessing
+import os
 import socket
 import threading
 import time
+from pathlib import Path
 
 import pytest
 
+from repro.analysis.report import canonical_json
 from repro.lang.format import format_net
 from repro.obs.spans import cell_spans, read_spans, spans_by_trace
 from repro.processor import build_pipeline_net
@@ -94,6 +97,31 @@ def _await_no_forked_children(deadline=10.0):
         assert time.monotonic() < limit, (
             f"forked children never reaped: "
             f"{multiprocessing.active_children()}"
+        )
+        time.sleep(0.05)
+
+
+def _proc_children():
+    """PIDs listed as children of any thread of this process (/proc;
+    empty where the platform has none)."""
+    children = set()
+    tasks = Path(f"/proc/{os.getpid()}/task")
+    for task in tasks.iterdir() if tasks.is_dir() else ():
+        try:
+            children.update(int(pid)
+                            for pid in (task / "children").read_text().split())
+        except OSError:
+            pass  # the thread exited while we listed
+    return children
+
+
+def _await_no_new_proc_children(before, deadline=10.0):
+    """No child forked since ``before`` may survive, zombies included:
+    /proc lists a child until its parent reaps it."""
+    limit = time.monotonic() + deadline
+    while _proc_children() - before:
+        assert time.monotonic() < limit, (
+            f"children never reaped: {sorted(_proc_children() - before)}"
         )
         time.sleep(0.05)
 
@@ -494,6 +522,108 @@ class TestDeadlines:
                 assert result.summary["events_started"] > 0
         finally:
             thread.stop()
+
+
+# ---------------------------------------------------------------------------
+# Chunked grid jobs: one job, several children, one supervision verdict
+# ---------------------------------------------------------------------------
+
+
+def _forks(client):
+    return client.metrics()["metrics"]["counters"].get("forks_total", 0)
+
+
+def _result_bytes(frames):
+    """The result frame without the per-job identity fields (``cached``
+    included: a retried attempt finds its net in the cache)."""
+    result = dict(frames[-1])
+    for field in ("id", "job", "trace", "cached"):
+        result.pop(field, None)
+    return canonical_json(result)
+
+
+@pytest.mark.skipif(not fork_available(), reason="platform lacks fork")
+class TestChunkedJobs:
+    SEEDS = tuple(range(1, 9))
+
+    def sweep_request(self, source):
+        spec = SweepSpec(net_source=source, seeds=self.SEEDS, until=300.0)
+        return {"op": "sweep", "id": 1, **spec.to_payload()}
+
+    def test_killed_chunk_retries_the_job_to_identical_bytes(
+            self, monkeypatch, tmp_path, pipeline_source):
+        with ServerThread(workers=2) as clean_server:
+            clean = _raw_frames(clean_server.socket_path,
+                                self.sweep_request(pipeline_source))
+        before = _proc_children()
+        # ~290 events per cell: the SIGKILL lands after the second cell
+        # of whichever chunk gets there first.
+        monkeypatch.setenv(FAULTS_ENV, "kill-child=500:once")
+        monkeypatch.setenv(STATE_DIR_ENV, str(tmp_path))
+        thread = ServerThread(workers=2)
+        try:
+            frames = _raw_frames(thread.socket_path,
+                                 self.sweep_request(pipeline_source))
+            with thread.client() as client:
+                forks = _forks(client)
+        finally:
+            thread.stop()
+        kinds = [frame["type"] for frame in frames]
+        assert kinds.count("retry") == 1
+        retry = kinds.index("retry")
+        assert 0 < kinds[:retry].count("sweep-run") < len(self.SEEDS)
+        assert forks == 4  # two chunks per attempt
+        runs = {frame["index"]: frame["run"] for frame in frames[retry:]
+                if frame["type"] == "sweep-run"}
+        assert runs == {frame["index"]: frame["run"] for frame in clean
+                        if frame["type"] == "sweep-run"}
+        assert frames[-1]["type"] == "result"
+        assert _result_bytes(frames) == _result_bytes(clean)
+        _await_no_new_proc_children(before)
+
+    def test_timed_out_chunked_sweep_fails_and_reaps(self, monkeypatch,
+                                                      pipeline_source):
+        before = _proc_children()
+        monkeypatch.setenv(FAULTS_ENV, "stall-worker=30")
+        thread = ServerThread(workers=2)
+        try:
+            with thread.client() as client:
+                started = time.monotonic()
+                with pytest.raises(RemoteError) as excinfo:
+                    client.sweep(pipeline_source, self.SEEDS, until=300,
+                                 timeout=0.5)
+                # Both stalled chunks were killed at the deadline, not
+                # waited out.
+                assert time.monotonic() - started < 10.0
+                forks = _forks(client)
+                stats = client.server_stats()["queue"]
+        finally:
+            thread.stop()
+        assert excinfo.value.code == "job-timeout"
+        assert forks == 2
+        assert stats["timed_out"] == 1
+        _await_no_new_proc_children(before)
+
+    def test_cancelled_chunked_sweep_reaps_every_child(self,
+                                                       pipeline_source):
+        before = _proc_children()
+        thread = ServerThread(workers=2)
+        try:
+            with thread.client() as client:
+                job_id = client.sweep_nowait(pipeline_source,
+                                             seeds=list(self.SEEDS),
+                                             until=50_000_000)
+                _await_state(client, job_id, "running")
+                limit = time.monotonic() + 15.0
+                while _forks(client) < 2:
+                    assert time.monotonic() < limit
+                    time.sleep(0.02)
+                assert client.cancel(job_id)
+                _await_state(client, job_id, "cancelled")
+                assert _forks(client) == 2
+        finally:
+            thread.stop()
+        _await_no_new_proc_children(before)
 
 
 # ---------------------------------------------------------------------------
