@@ -1,8 +1,11 @@
 """Packaging for the P-NUT reproduction.
 
-The library is stdlib-only; this metadata exists so a cold
-``pip install .`` works without PYTHONPATH and installs the ``pnut``
-console entry point (CI's install-smoke job proves both).
+The simulator, the trace tools and the service are stdlib-only; this
+metadata exists so a cold ``pip install .`` works without PYTHONPATH
+and installs the ``pnut`` console entry point (CI's install-smoke job
+proves both). The reachability analyzers (``pnut reach``, ``pnut
+analytic``, ``pnut bounds`` and ``repro.reachability``) need the
+``analysis`` extra: ``pip install .[analysis]``.
 """
 
 import re
@@ -29,6 +32,7 @@ setup(
     packages=find_packages("src"),
     python_requires=">=3.11",
     install_requires=[],
+    extras_require={"analysis": ["networkx", "numpy", "scipy"]},
     entry_points={
         "console_scripts": [
             "pnut=repro.cli:main",

@@ -15,44 +15,27 @@ Quickstart::
     print(stats.transitions["Issue"].throughput)   # instructions / cycle
 """
 
-from .analysis import compute_statistics, full_report
-from .core import (
-    Environment,
-    Marking,
-    NetBuilder,
-    PetriNet,
-    Place,
-    PnutError,
-    Transition,
-    validate_net,
-)
-from .processor import PAPER_CONFIG, PipelineConfig, build_pipeline_net
-from .sim import Experiment, SimulationResult, Simulator, simulate
-from .trace import TraceFilter, fold_states, read_trace, write_trace
+from ._lazy import lazy_exports
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "Environment",
-    "Experiment",
-    "Marking",
-    "NetBuilder",
-    "PAPER_CONFIG",
-    "PetriNet",
-    "PipelineConfig",
-    "Place",
-    "PnutError",
-    "SimulationResult",
-    "Simulator",
-    "TraceFilter",
-    "Transition",
-    "build_pipeline_net",
-    "compute_statistics",
-    "fold_states",
-    "full_report",
-    "read_trace",
-    "simulate",
-    "validate_net",
-    "write_trace",
-    "__version__",
-]
+# Names resolve on first use, so ``import repro.sim.engine`` (or the
+# ``pnut`` CLI) does not import every subpackage just to reach one.
+__getattr__, __dir__, __all__ = lazy_exports(globals(), {
+    "analysis.report": ("full_report",),
+    "analysis.stat": ("compute_statistics",),
+    "core.builder": ("NetBuilder",),
+    "core.errors": ("PnutError",),
+    "core.inscription": ("Environment",),
+    "core.marking": ("Marking",),
+    "core.net": ("PetriNet", "Place", "Transition"),
+    "core.validate": ("validate_net",),
+    "processor.config": ("PAPER_CONFIG", "PipelineConfig"),
+    "processor.model": ("build_pipeline_net",),
+    "sim.engine": ("SimulationResult", "Simulator", "simulate"),
+    "sim.experiment": ("Experiment",),
+    "trace.filter": ("TraceFilter",),
+    "trace.serialize": ("read_trace", "write_trace"),
+    "trace.states": ("fold_states",),
+})
+__all__.append("__version__")

@@ -1,68 +1,42 @@
 """Analysis tools consuming traces: stat, reports, tracertool, queries."""
 
-from .batch_means import (
-    BatchMeansResult,
-    batch_means,
-    batch_means_from_signal,
-    suggest_warmup,
-    throughput_batch_means,
-)
-from .query import QueryResult, TraceChecker, check_trace, parse_query
-from .report import event_section, full_report, place_section, run_section, troff_report
-from .stat import (
-    PlaceStats,
-    RunStats,
-    StatisticsObserver,
-    TraceStatistics,
-    TransitionStats,
-    compute_statistics,
-)
-from .tracer import (
-    Marker,
-    MarkerSet,
-    Signal,
-    SignalObserver,
-    TracerSession,
-    combine,
-    extract_signals,
-    sum_signals,
-)
-from .waveform import (
-    WaveformOptions,
-    render_waveforms,
-    sample_table,
-)
+from .._lazy import lazy_exports
 
-__all__ = [
-    "BatchMeansResult",
-    "Marker",
-    "MarkerSet",
-    "PlaceStats",
-    "QueryResult",
-    "RunStats",
-    "Signal",
-    "SignalObserver",
-    "StatisticsObserver",
-    "TraceChecker",
-    "TraceStatistics",
-    "TracerSession",
-    "TransitionStats",
-    "WaveformOptions",
-    "batch_means",
-    "batch_means_from_signal",
-    "check_trace",
-    "combine",
-    "compute_statistics",
-    "event_section",
-    "extract_signals",
-    "full_report",
-    "parse_query",
-    "place_section",
-    "render_waveforms",
-    "run_section",
-    "sample_table",
-    "suggest_warmup",
-    "sum_signals",
-    "throughput_batch_means",
-    "troff_report",
-]
+# Lazy, so ``pnut stat`` (statistics and the report) does not import
+# the query language, the tracertool and the waveform renderer.
+__getattr__, __dir__, __all__ = lazy_exports(globals(), {
+    "batch_means": (
+        "BatchMeansResult",
+        "batch_means",
+        "batch_means_from_signal",
+        "suggest_warmup",
+        "throughput_batch_means",
+    ),
+    "query": ("QueryResult", "TraceChecker", "check_trace", "parse_query"),
+    "report": (
+        "event_section",
+        "full_report",
+        "place_section",
+        "run_section",
+        "troff_report",
+    ),
+    "stat": (
+        "PlaceStats",
+        "RunStats",
+        "StatisticsObserver",
+        "TraceStatistics",
+        "TransitionStats",
+        "compute_statistics",
+    ),
+    "tracer": (
+        "Marker",
+        "MarkerSet",
+        "Signal",
+        "SignalObserver",
+        "TracerSession",
+        "combine",
+        "extract_signals",
+        "sum_signals",
+    ),
+    "waveform": ("WaveformOptions", "render_waveforms", "sample_table"),
+})

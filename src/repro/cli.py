@@ -45,27 +45,10 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .analysis.query import check_trace
-from .analysis.report import (
-    canonical_json,
-    full_report,
-    statistics_payload,
-    troff_report,
-)
-from .analysis.stat import compute_statistics
-from .analysis.tracer import extract_signals
-from .analysis.waveform import WaveformOptions, render_waveforms
-from .animation.player import animate as _animate
+# Each command imports what only it runs, so `pnut sim | pnut stat` does
+# not pay for the reachability analyzers (numpy, networkx), the service
+# or the animator at start-up.
 from .core.errors import PnutError
-from .core.validate import Severity, validate_net
-from .lang.format import format_net
-from .lang.parser import parse_net
-from .reachability.ctl import RgChecker
-from .reachability.properties import analyze_net
-from .reachability.untimed import build_untimed_graph
-from .sim.engine import Simulator
-from .trace.filter import TraceFilter
-from .trace.serialize import format_event, format_header, read_trace, write_trace
 
 
 def _open_text(path: str):
@@ -75,6 +58,8 @@ def _open_text(path: str):
 
 
 def _load_net(path: str):
+    from .lang.parser import parse_net
+
     with _open_text(path) as handle:
         return parse_net(handle.read())
 
@@ -116,6 +101,9 @@ def parse_seed_grid(text: str) -> list[int]:
 
 
 def cmd_sim(args: argparse.Namespace) -> int:
+    from .sim.engine import Simulator
+    from .trace.serialize import format_event, format_header
+
     net = _load_net(args.net)
     simulator = Simulator(net, seed=args.seed, run_number=args.run,
                           scheduler=args.scheduler)
@@ -131,6 +119,8 @@ def cmd_sim(args: argparse.Namespace) -> int:
         if out is not sys.stdout:
             out.close()
     if args.profile:
+        from .analysis.report import canonical_json
+
         # Scheduler counters as canonical JSON on stderr: the trace on
         # stdout stays byte-identical with and without --profile.
         print(canonical_json(simulator.scheduler_profile()),
@@ -139,6 +129,9 @@ def cmd_sim(args: argparse.Namespace) -> int:
 
 
 def cmd_filter(args: argparse.Namespace) -> int:
+    from .trace.filter import TraceFilter
+    from .trace.serialize import read_trace, write_trace
+
     keep_places = _split_names(args.places)
     keep_transitions = _split_names(args.transitions)
     with _open_text(args.trace) as handle:
@@ -149,6 +142,15 @@ def cmd_filter(args: argparse.Namespace) -> int:
 
 
 def cmd_stat(args: argparse.Namespace) -> int:
+    from .analysis.report import (
+        canonical_json,
+        full_report,
+        statistics_payload,
+        troff_report,
+    )
+    from .analysis.stat import compute_statistics
+    from .trace.serialize import read_trace
+
     with _open_text(args.trace) as handle:
         header, events = read_trace(handle)
         stats = compute_statistics(events, run_number=header.run_number)
@@ -161,6 +163,10 @@ def cmd_stat(args: argparse.Namespace) -> int:
 
 
 def cmd_tracer(args: argparse.Namespace) -> int:
+    from .analysis.tracer import extract_signals
+    from .analysis.waveform import WaveformOptions, render_waveforms
+    from .trace.serialize import read_trace
+
     probes = _split_names(args.probes) or []
     if not probes:
         print("tracer: --probes is required", file=sys.stderr)
@@ -174,6 +180,10 @@ def cmd_tracer(args: argparse.Namespace) -> int:
 
 
 def cmd_check(args: argparse.Namespace) -> int:
+    from .analysis.query import check_trace
+    from .analysis.report import canonical_json
+    from .trace.serialize import read_trace
+
     with _open_text(args.trace) as handle:
         _header, events = read_trace(handle)
         result = check_trace(events, args.query)
@@ -189,6 +199,10 @@ def cmd_check(args: argparse.Namespace) -> int:
 
 
 def cmd_reach(args: argparse.Namespace) -> int:
+    from .reachability.ctl import RgChecker
+    from .reachability.properties import analyze_net
+    from .reachability.untimed import build_untimed_graph
+
     net = _load_net(args.net)
     if args.query:
         graph = build_untimed_graph(net, max_states=args.max_states)
@@ -229,14 +243,19 @@ def cmd_bounds(args: argparse.Namespace) -> int:
 
 
 def cmd_animate(args: argparse.Namespace) -> int:
+    from .animation.player import animate
+    from .sim.engine import Simulator
+
     net = _load_net(args.net)
     simulator = Simulator(net, seed=args.seed)
     events = simulator.stream(until=args.until)
-    _animate(net, events, stream=sys.stdout, max_frames=args.frames)
+    animate(net, events, stream=sys.stdout, max_frames=args.frames)
     return 0
 
 
 def cmd_validate(args: argparse.Namespace) -> int:
+    from .core.validate import Severity, validate_net
+
     net = _load_net(args.net)
     report = validate_net(net)
     print(report.pretty())
@@ -245,6 +264,8 @@ def cmd_validate(args: argparse.Namespace) -> int:
 
 
 def cmd_fmt(args: argparse.Namespace) -> int:
+    from .lang.format import format_net
+
     net = _load_net(args.net)
     sys.stdout.write(format_net(net, lossy=args.lossy))
     return 0
@@ -391,6 +412,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     ``pnut sim`` + ``pnut stat --json`` report for that seed alone),
     then one aggregates line with cross-run mean/CI summaries.
     """
+    from .analysis.report import canonical_json
+
     try:
         seeds = parse_seed_grid(args.seeds)
     except ValueError as error:
@@ -428,6 +451,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
                   f"(resolved server-side; see sweep_backend_* counters)",
                   file=sys.stderr)
     else:
+        from .lang.parser import parse_net
+        from .sim.engine import Simulator
         from .sim.sweep import run_sweep
 
         net = parse_net(net_source)
@@ -488,6 +513,7 @@ def cmd_explore(args: argparse.Namespace) -> int:
     incremental: completed cells are read back instead of re-simulated,
     on both paths.
     """
+    from .analysis.report import canonical_json
     from .dse import (
         ParamSpace,
         open_store,
@@ -642,6 +668,7 @@ def cmd_metrics(args: argparse.Namespace) -> int:
     """
     import time as _time
 
+    from .analysis.report import canonical_json
     from .obs.dashboard import RECONNECT_BACKOFF_BASE, RECONNECT_BACKOFF_CAP
     from .service.client import ClientDisconnected, ServiceError
 
@@ -717,6 +744,7 @@ def cmd_top(args: argparse.Namespace) -> int:
 
 def cmd_spans(args: argparse.Namespace) -> int:
     """Render span timelines from an ``--obs-log`` directory."""
+    from .analysis.report import canonical_json
     from .obs.spanview import (
         follow_spans,
         format_record,
@@ -753,6 +781,8 @@ def cmd_spans(args: argparse.Namespace) -> int:
 
 
 def cmd_jobs(args: argparse.Namespace) -> int:
+    from .analysis.report import canonical_json
+
     client = _service_client(args)
     if client is None:
         return 2

@@ -26,68 +26,43 @@ Entry points: :func:`run_exploration` here,
 (:meth:`repro.service.ServiceClient.explore`) and ``pnut explore``.
 """
 
-from .explore import (
-    CellOutcome,
-    ExplorationResult,
-    assemble_exploration,
-    bind_sources,
-    bind_space,
-    run_exploration,
-)
-from .frontier import (
-    FrontierError,
-    Objective,
-    aggregate_cells,
-    frontier_payload,
-    frontier_table,
-    pareto_indices,
-    parse_objectives,
-)
-from .space import (
-    MAX_POINTS,
-    ParamAxis,
-    ParamSpace,
-    ParamSpaceError,
-    parse_axis_spec,
-    point_key,
-)
-from .store import ResultStore, StoreError, StoreWarning, open_store, stop_key
-from .template import (
-    Binder,
-    NetTemplate,
-    PipelineBinder,
-    TemplateError,
-    as_binder,
-)
+from .._lazy import lazy_exports
 
-__all__ = [
-    "MAX_POINTS",
-    "Binder",
-    "CellOutcome",
-    "ExplorationResult",
-    "FrontierError",
-    "NetTemplate",
-    "Objective",
-    "ParamAxis",
-    "ParamSpace",
-    "ParamSpaceError",
-    "PipelineBinder",
-    "ResultStore",
-    "StoreError",
-    "StoreWarning",
-    "TemplateError",
-    "aggregate_cells",
-    "as_binder",
-    "assemble_exploration",
-    "bind_sources",
-    "bind_space",
-    "frontier_payload",
-    "frontier_table",
-    "open_store",
-    "pareto_indices",
-    "parse_axis_spec",
-    "parse_objectives",
-    "point_key",
-    "run_exploration",
-    "stop_key",
-]
+# Lazy, so the service protocol (which parses ``ParamSpace`` payloads)
+# does not import the exploration runner and the processor binders.
+__getattr__, __dir__, __all__ = lazy_exports(globals(), {
+    "explore": (
+        "CellOutcome",
+        "ExplorationResult",
+        "assemble_exploration",
+        "bind_sources",
+        "bind_space",
+        "run_exploration",
+    ),
+    "frontier": (
+        "FrontierError",
+        "Objective",
+        "aggregate_cells",
+        "frontier_payload",
+        "frontier_table",
+        "pareto_indices",
+        "parse_objectives",
+    ),
+    "space": (
+        "MAX_POINTS",
+        "ParamAxis",
+        "ParamSpace",
+        "ParamSpaceError",
+        "parse_axis_spec",
+        "point_key",
+    ),
+    "store": ("ResultStore", "StoreError", "StoreWarning", "open_store",
+              "stop_key"),
+    "template": (
+        "Binder",
+        "NetTemplate",
+        "PipelineBinder",
+        "TemplateError",
+        "as_binder",
+    ),
+})

@@ -10,8 +10,12 @@ graphs can be inspected visually. No Graphviz dependency is required to
 
 from __future__ import annotations
 
+from typing import TYPE_CHECKING
+
 from ..core.net import PetriNet
-from ..reachability.graph import ReachabilityGraph
+
+if TYPE_CHECKING:
+    from ..reachability.graph import ReachabilityGraph
 
 
 def _quote(text: str) -> str:

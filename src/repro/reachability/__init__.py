@@ -1,71 +1,46 @@
 """Reachability graph analyzers: untimed [MR87], timed [RP84], CTL."""
 
-from .coverability import (
-    OMEGA,
-    CoverabilityNode,
-    build_coverability_tree,
-    structural_bounds,
-    unbounded_places,
-)
-from .ctl import CtlChecker, RgChecker
-from .graph import Edge, ReachabilityGraph
-from .markov import (
-    SteadyState,
-    analytic_figure5,
-    compare_with_simulation,
-    steady_state,
-)
-from .properties import (
-    NetProperties,
-    analyze_net,
-    dead_transitions,
-    deadlock_markings,
-    home_states,
-    is_bounded,
-    is_reversible,
-    is_safe,
-    live_transitions,
-    place_bounds,
-    quasi_live_transitions,
-    verify_invariant,
-    verify_p_invariant,
-)
-from .timed import ADVANCE, TimedExplorer, TimedState, build_timed_graph, earliest_time
-from .untimed import build_untimed_graph, enumerate_markings, fire_atomic
+from .._lazy import lazy_exports
 
-__all__ = [
-    "ADVANCE",
-    "OMEGA",
-    "CoverabilityNode",
-    "CtlChecker",
-    "Edge",
-    "NetProperties",
-    "ReachabilityGraph",
-    "RgChecker",
-    "SteadyState",
-    "TimedExplorer",
-    "TimedState",
-    "analytic_figure5",
-    "analyze_net",
-    "build_coverability_tree",
-    "compare_with_simulation",
-    "steady_state",
-    "structural_bounds",
-    "unbounded_places",
-    "build_timed_graph",
-    "build_untimed_graph",
-    "dead_transitions",
-    "deadlock_markings",
-    "earliest_time",
-    "enumerate_markings",
-    "fire_atomic",
-    "home_states",
-    "is_bounded",
-    "is_reversible",
-    "is_safe",
-    "live_transitions",
-    "place_bounds",
-    "quasi_live_transitions",
-    "verify_invariant",
-    "verify_p_invariant",
-]
+# Lazy, so importing one analyzer (say ``reachability.graph``) does not
+# pull in numpy through ``markov`` or networkx through ``properties``.
+__getattr__, __dir__, __all__ = lazy_exports(globals(), {
+    "coverability": (
+        "OMEGA",
+        "CoverabilityNode",
+        "build_coverability_tree",
+        "structural_bounds",
+        "unbounded_places",
+    ),
+    "ctl": ("CtlChecker", "RgChecker"),
+    "graph": ("Edge", "ReachabilityGraph"),
+    "markov": (
+        "SteadyState",
+        "analytic_figure5",
+        "compare_with_simulation",
+        "steady_state",
+    ),
+    "properties": (
+        "NetProperties",
+        "analyze_net",
+        "dead_transitions",
+        "deadlock_markings",
+        "home_states",
+        "is_bounded",
+        "is_reversible",
+        "is_safe",
+        "live_transitions",
+        "place_bounds",
+        "quasi_live_transitions",
+        "verify_invariant",
+        "verify_p_invariant",
+    ),
+    "timed": (
+        "ADVANCE",
+        "TimedExplorer",
+        "TimedState",
+        "build_timed_graph",
+        "earliest_time",
+    ),
+    "untimed": ("build_untimed_graph", "enumerate_markings", "fire_atomic"),
+})

@@ -26,55 +26,32 @@ clients over one process:
   and ``shutdown drain=true`` finishes active work before exit.
 """
 
-from .cache import CompiledNet, CompiledNetCache
-from .client import (
-    ClientDisconnected,
-    ExploreOutcome,
-    JobResult,
-    RemoteError,
-    ServiceClient,
-    SweepOutcome,
-)
-from .faults import Fault, FaultConfigError, parse_faults
-from .harness import ServerThread
-from .protocol import (
-    ExploreSpec,
-    JobSpec,
-    ProtocolError,
-    ServiceError,
-    SweepSpec,
-    decode,
-    dedupe_identity,
-    encode,
-)
-from .queue import Job, JobQueue, JobState, QueueFullError
-from .server import SimulationService, run_server
+from .._lazy import lazy_exports
 
-__all__ = [
-    "ClientDisconnected",
-    "CompiledNet",
-    "CompiledNetCache",
-    "ExploreOutcome",
-    "ExploreSpec",
-    "Fault",
-    "FaultConfigError",
-    "Job",
-    "JobQueue",
-    "JobResult",
-    "JobSpec",
-    "JobState",
-    "ProtocolError",
-    "QueueFullError",
-    "RemoteError",
-    "ServerThread",
-    "ServiceClient",
-    "ServiceError",
-    "SimulationService",
-    "SweepOutcome",
-    "SweepSpec",
-    "decode",
-    "dedupe_identity",
-    "encode",
-    "parse_faults",
-    "run_server",
-]
+# Lazy, so a client command (``pnut submit``, ``pnut jobs``) does not
+# import the server, and with it the engines every forked job runs.
+__getattr__, __dir__, __all__ = lazy_exports(globals(), {
+    "cache": ("CompiledNet", "CompiledNetCache"),
+    "client": (
+        "ClientDisconnected",
+        "ExploreOutcome",
+        "JobResult",
+        "RemoteError",
+        "ServiceClient",
+        "SweepOutcome",
+    ),
+    "faults": ("Fault", "FaultConfigError", "parse_faults"),
+    "harness": ("ServerThread",),
+    "protocol": (
+        "ExploreSpec",
+        "JobSpec",
+        "ProtocolError",
+        "ServiceError",
+        "SweepSpec",
+        "decode",
+        "dedupe_identity",
+        "encode",
+    ),
+    "queue": ("Job", "JobQueue", "JobState", "QueueFullError"),
+    "server": ("SimulationService", "run_server"),
+})

@@ -19,6 +19,14 @@ materialized server-side (``keep_events=False``).
 Platforms without ``fork`` fall back to running jobs on threads, one
 thread per job: same protocol, same results, reduced parallelism and no
 mid-run cancellation.
+
+Import rule: every module a forked job executes (the engine, the
+lockstep code generator, the grid core, the statistics observer, trace
+serialization) is imported at module scope here, so each child inherits
+it loaded from the parent's memory image. An executor must never import
+lazily, or every job child would pay that import again. Only
+parent-side features that no job runs, such as the HTTP observability
+sidecar, may import on first use.
 """
 
 from __future__ import annotations
@@ -36,11 +44,13 @@ from typing import Any, Callable
 from ..analysis.report import statistics_payload
 from ..analysis.stat import StatisticsObserver
 from ..core.errors import PnutError
+from ..dse.explore import bind_space
 from ..dse.space import point_key
 from ..dse.store import StoreError, open_store, stop_key
 from ..obs.metrics import MetricsRegistry, peak_rss_kb
 from ..obs.spans import SpanLog, mint_trace_id, read_spans
 from ..sim.experiment import ForkedTask, fork_available
+from ..sim.lockstep import resolve_backend
 from ..sim.sweep import (
     RESUMED,
     SweepResult,
@@ -918,8 +928,6 @@ class SimulationService:
         the compiler's peak memory out of this long-lived process. The
         seconds of each compile this paid are appended to ``compiles``.
         """
-        from ..sim.lockstep import resolve_backend
-
         started = time.perf_counter()
         resolution = resolve_backend(compiled.template, requested)
         program = resolution[0]
@@ -953,8 +961,6 @@ class SimulationService:
         compiles: list[float] = []
         want_stats = "stats" in spec.outputs
         if isinstance(spec, ExploreSpec):
-            from ..dse.explore import bind_space
-
             points, entries, net_shas, outcomes = bind_space(
                 spec.net_source, spec.space(), self.cache,
                 immediate_budget=self.immediate_budget,
@@ -1018,7 +1024,13 @@ class SimulationService:
         for seconds in compiles:
             self.metrics.counter("codegen_compiles_total").inc()
             self.metrics.histogram("codegen_seconds").observe(seconds)
-        job.cached = cached
+        if job.attempts == 0:
+            # A crash retry finds the net its first attempt compiled, so
+            # only the first attempt's lookup says whether the job hit
+            # the cache; a retried job reports the same bytes as a clean
+            # one. A job recovered from the journal after its first
+            # attempt keeps ``False``: that lookup ran in a dead server.
+            job.cached = cached
         if job.state is JobState.CANCELLED:
             self._finish(job, None, None)
             return

@@ -1,58 +1,35 @@
 """Discrete-event simulation of extended Timed Petri Nets (paper §4.1)."""
 
-from .commands import CommandScript, execute_commands, run_script_text
-from .engine import Observer, SimulationResult, Simulator, simulate
-from .experiment import (
-    Experiment,
-    ExperimentResult,
-    ForkedTask,
-    MetricSummary,
-    fork_available,
-    map_chunked_forked,
-    map_forked,
-    summarize_metric,
-)
-from .lockstep import (
-    BACKEND_CHOICES,
-    LockstepDecision,
-    LockstepProgram,
-    classify,
-    compile_lockstep,
-    resolve_backend,
-)
-from .sweep import (
-    SweepResult,
-    SweepRunSummary,
-    TraceHasher,
-    run_sweep,
-    trace_digest,
-)
+from .._lazy import lazy_exports
 
-__all__ = [
-    "BACKEND_CHOICES",
-    "CommandScript",
-    "Experiment",
-    "ExperimentResult",
-    "ForkedTask",
-    "LockstepDecision",
-    "LockstepProgram",
-    "MetricSummary",
-    "Observer",
-    "SimulationResult",
-    "Simulator",
-    "SweepResult",
-    "SweepRunSummary",
-    "TraceHasher",
-    "classify",
-    "compile_lockstep",
-    "execute_commands",
-    "fork_available",
-    "resolve_backend",
-    "map_chunked_forked",
-    "map_forked",
-    "run_script_text",
-    "run_sweep",
-    "simulate",
-    "summarize_metric",
-    "trace_digest",
-]
+# Lazy, so ``pnut sim`` (which runs only the engine) does not import the
+# lockstep code generator, the sweep runner and the analysis tools.
+__getattr__, __dir__, __all__ = lazy_exports(globals(), {
+    "commands": ("CommandScript", "execute_commands", "run_script_text"),
+    "engine": ("Observer", "SimulationResult", "Simulator", "simulate"),
+    "experiment": (
+        "Experiment",
+        "ExperimentResult",
+        "ForkedTask",
+        "MetricSummary",
+        "fork_available",
+        "map_chunked_forked",
+        "map_forked",
+        "summarize_metric",
+    ),
+    "lockstep": (
+        "BACKEND_CHOICES",
+        "LockstepDecision",
+        "LockstepProgram",
+        "classify",
+        "compile_lockstep",
+        "resolve_backend",
+    ),
+    "sweep": (
+        "SweepResult",
+        "SweepRunSummary",
+        "TraceHasher",
+        "run_sweep",
+        "trace_digest",
+    ),
+})

@@ -534,10 +534,9 @@ def _forks(client):
 
 
 def _result_bytes(frames):
-    """The result frame without the per-job identity fields (``cached``
-    included: a retried attempt finds its net in the cache)."""
+    """The result frame without the per-job identity fields."""
     result = dict(frames[-1])
-    for field in ("id", "job", "trace", "cached"):
+    for field in ("id", "job", "trace"):
         result.pop(field, None)
     return canonical_json(result)
 
