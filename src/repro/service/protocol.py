@@ -144,10 +144,20 @@ def decode(line: bytes | str) -> dict[str, Any]:
     return message
 
 
-def _require(payload: dict, key: str, kinds, what: str):
+def _is_int(value: Any) -> bool:
+    """A JSON integer: ``true``/``false`` decode to bool, an int subclass,
+    and are not numbers on the wire."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_number(value: Any) -> bool:
+    return _is_int(value) or isinstance(value, float)
+
+
+def _require(payload: dict, key: str, kinds, what: str, op: str):
     value = payload.get(key)
     if not isinstance(value, kinds):
-        raise ProtocolError(f"submit needs {key!r}: {what}")
+        raise ProtocolError(f"{op} needs {key!r}: {what}")
     return value
 
 
@@ -157,16 +167,13 @@ def _check_supervision_fields(spec, what: str) -> None:
     ``max_retries`` (None defers to the server default), and the
     client-supplied idempotency ``key``."""
     if spec.timeout is not None:
-        if (not isinstance(spec.timeout, (int, float))
-                or isinstance(spec.timeout, bool) or spec.timeout <= 0):
+        if not _is_number(spec.timeout) or spec.timeout <= 0:
             raise ProtocolError(
                 f"{what} 'timeout' must be a positive number of seconds"
             )
         object.__setattr__(spec, "timeout", float(spec.timeout))
     if spec.max_retries is not None:
-        if (not isinstance(spec.max_retries, int)
-                or isinstance(spec.max_retries, bool)
-                or spec.max_retries < 0):
+        if not _is_int(spec.max_retries) or spec.max_retries < 0:
             raise ProtocolError(
                 f"{what} 'max_retries' must be a non-negative integer"
             )
@@ -202,13 +209,13 @@ def _run_fields(payload: dict[str, Any]) -> dict[str, Any]:
     keyword arguments: the stop condition, ``run``, ``outputs``,
     ``priority`` and the supervision fields (validated by the spec)."""
     until = payload.get("until")
-    if until is not None and not isinstance(until, (int, float)):
+    if until is not None and not _is_number(until):
         raise ProtocolError("'until' must be a number")
     max_events = payload.get("max_events")
-    if max_events is not None and not isinstance(max_events, int):
+    if max_events is not None and not _is_int(max_events):
         raise ProtocolError("'max_events' must be an integer")
     run_number = payload.get("run", 1)
-    if not isinstance(run_number, int):
+    if not _is_int(run_number):
         raise ProtocolError("'run' must be an integer")
     outputs = payload.get("outputs", ["stats"])
     if not isinstance(outputs, list) or not all(
@@ -216,7 +223,7 @@ def _run_fields(payload: dict[str, Any]) -> dict[str, Any]:
     ):
         raise ProtocolError("'outputs' must be a list of channel names")
     priority = payload.get("priority", 0)
-    if not isinstance(priority, int):
+    if not _is_int(priority):
         raise ProtocolError("'priority' must be an integer")
     return {
         "until": float(until) if until is not None else None,
@@ -260,8 +267,7 @@ def _check_grid_spec(spec, what: str) -> None:
         object.__setattr__(spec, "until", float(spec.until))
     if not spec.seeds:
         raise ProtocolError(f"{what} needs at least one seed")
-    if not all(isinstance(seed, int) and not isinstance(seed, bool)
-               for seed in spec.seeds):
+    if not all(_is_int(seed) for seed in spec.seeds):
         raise ProtocolError(f"{what} seeds must be integers")
 
 
@@ -328,9 +334,10 @@ class JobSpec:
 
     @classmethod
     def from_payload(cls, payload: dict[str, Any]) -> "JobSpec":
-        net_source = _require(payload, "net", str, "the net source text")
+        net_source = _require(payload, "net", str, "the net source text",
+                              cls.op)
         seed = payload.get("seed")
-        if seed is not None and not isinstance(seed, int):
+        if seed is not None and not _is_int(seed):
             raise ProtocolError("'seed' must be an integer")
         return cls(net_source=net_source, seed=seed, **_run_fields(payload))
 
@@ -394,7 +401,8 @@ class SweepSpec:
 
     @classmethod
     def from_payload(cls, payload: dict[str, Any]) -> "SweepSpec":
-        net_source = _require(payload, "net", str, "the net source text")
+        net_source = _require(payload, "net", str, "the net source text",
+                              cls.op)
         return cls(net_source=net_source, **_grid_fields(payload))
 
     def to_payload(self) -> dict[str, Any]:
@@ -474,8 +482,7 @@ class ExploreSpec:
         for pair in self.skip:
             ok = (
                 isinstance(pair, tuple) and len(pair) == 2
-                and all(isinstance(v, int) and not isinstance(v, bool)
-                        for v in pair)
+                and all(_is_int(v) for v in pair)
                 and 0 <= pair[0] < points and pair[1] in seed_set
             )
             if not ok:
@@ -496,7 +503,8 @@ class ExploreSpec:
 
     @classmethod
     def from_payload(cls, payload: dict[str, Any]) -> "ExploreSpec":
-        net_source = _require(payload, "net", str, "the net template text")
+        net_source = _require(payload, "net", str, "the net template text",
+                              cls.op)
         params = payload.get("params")
         if not isinstance(params, dict):
             raise ProtocolError("'params' must be a parameter-space object")

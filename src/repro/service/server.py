@@ -7,13 +7,16 @@ net through the :class:`CompiledNetCache`, and runs the simulation in
 **forked children** via the same :class:`~repro.sim.experiment.ForkedTask`
 machinery that fans out :class:`~repro.sim.Experiment` replications — the
 compiled net (with its callables) is inherited by memory image, never
-pickled, and the GIL never serializes two runs. A ``submit`` runs in one
-child. A grid job (sweep or exploration) splits its fresh cells into
-contiguous chunks, one child per worker slot idle at dispatch (its own
-included), so a lone sweep uses every slot while a loaded server keeps
-one child per job. Results stream back through the children's pipes as
-batched trace lines or cell frames; the parent builds a grid job's
-result body from the cells it forwarded, and the full trace is never
+pickled, and the GIL never serializes two runs. Every job is a grid of
+(point, seed) cells run by one executor, :func:`execute_grid_job`: a
+``submit`` is the one-cell grid of its net and seed, a sweep the
+one-point grid of its seeds, an exploration one point per parameter
+set. A job splits its fresh cells into contiguous chunks, one child per
+worker slot idle at dispatch (its own included), so a lone sweep uses
+every slot while a loaded server keeps one child per job and a submit
+forks once. Results stream back through the children's pipes as
+batched trace lines and cell frames; the parent builds every result
+body from the cells it received, and the full trace is never
 materialized server-side (``keep_events=False``).
 
 Platforms without ``fork`` fall back to running jobs on threads, one
@@ -21,8 +24,9 @@ thread per job: same protocol, same results, reduced parallelism and no
 mid-run cancellation.
 
 Import rule: every module a forked job executes (the engine, the
-lockstep code generator, the grid core, the statistics observer, trace
-serialization) is imported at module scope here, so each child inherits
+lockstep code generator, the grid core and the statistics observer it
+wires up, trace serialization) is imported at module scope here, either
+directly or through the grid core, so each child inherits
 it loaded from the parent's memory image. An executor must never import
 lazily, or every job child would pay that import again. Only
 parent-side features that no job runs, such as the HTTP observability
@@ -41,25 +45,21 @@ import time
 from dataclasses import dataclass
 from typing import Any, Callable
 
-from ..analysis.report import statistics_payload
-from ..analysis.stat import StatisticsObserver
 from ..core.errors import PnutError
 from ..dse.explore import bind_space
 from ..dse.space import point_key
 from ..dse.store import StoreError, open_store, stop_key
 from ..obs.metrics import MetricsRegistry, peak_rss_kb
 from ..obs.spans import SpanLog, mint_trace_id, read_spans
-from ..sim.experiment import ForkedTask, fork_available
+from ..sim.experiment import ForkedTask, contiguous_chunks, fork_available
 from ..sim.lockstep import resolve_backend
 from ..sim.sweep import (
     RESUMED,
     SweepResult,
     SweepRunSummary,
-    TraceHasher,
     _aggregate,
     backend_counts,
     cell_runner,
-    contiguous_chunks,
     grid_cells,
     grid_sha256,
     scan_store,
@@ -92,18 +92,18 @@ log = logging.getLogger("repro.service")
 _LINE_LIMIT = 16 * 1024 * 1024
 
 
-def _emit_obs_deltas(emit, elapsed: float, *, events_started: int,
-                     events_finished: int, runs: int,
-                     simulator=None, extra: dict[str, int] | None = None,
-                     ) -> None:
+def _emit_obs_deltas(emit, obs: MetricsRegistry, elapsed: float, *,
+                     events_started: int, events_finished: int, runs: int,
+                     extra: dict[str, int]) -> None:
     """Ship one metrics delta from the executing child to the server.
 
-    The child builds a fresh registry post-fork, so every value is a
-    pure delta; it rides the existing result pipe as one ``obs`` frame
-    the server folds into its registry and never forwards to clients —
-    result streams stay byte-identical with or without observability.
+    The child builds a fresh registry post-fork (``obs``, which may
+    already hold the scheduler profile of its scalar runs), so every
+    value is a pure delta; it rides the existing result pipe as one
+    ``obs`` frame the server folds into its registry and never forwards
+    to clients — result streams stay byte-identical with or without
+    observability.
     """
-    obs = MetricsRegistry()
     obs.counter("engine_events_started_total").inc(events_started)
     obs.counter("engine_events_finished_total").inc(events_finished)
     obs.counter("engine_runs_total").inc(runs)
@@ -113,14 +113,12 @@ def _emit_obs_deltas(emit, elapsed: float, *, events_started: int,
             round(events_started / elapsed, 3)
         )
     obs.gauge("worker_rss_kb").set(peak_rss_kb())
-    if simulator is not None:
-        simulator.publish_profile(obs, prefix="sched_")
-    for name, value in (extra or {}).items():
+    for name, value in extra.items():
         obs.counter(name).inc(value)
     emit({"channel": "obs", "deltas": obs.deltas()})
 
 
-def _emit_cell_span(emit, kind: str, *, seed: int,
+def _emit_cell_span(emit, kind: str, *, seed: int | None,
                     point: int | None = None, summary=None,
                     backend: str, backend_reason: str,
                     skipped: bool = False) -> None:
@@ -158,113 +156,51 @@ def _emit_cell_span(emit, kind: str, *, seed: int,
     emit({"channel": "span", "record": record})
 
 
-def _run_interpreted(compiled: CompiledNet, spec: JobSpec, emit):
-    """One job on the scalar interpreter: ``(run summary, simulator)``.
+def _trace_batcher(header: TraceHeader, emit):
+    """``(observer, flush)`` streaming one run's serialized trace.
 
-    ``emit`` streams batches of serialized trace lines while statistics
-    accumulate in a streaming observer; the trace itself is never
-    materialized (``keep_events=False``). Text serialization is paid
-    only when the ``trace`` output is subscribed.
+    The observer appends each event's trace line and ships a ``trace``
+    frame every :data:`TRACE_BATCH_LINES` lines; ``flush`` ships the
+    rest after the run. The header lines lead the first frame, so the
+    frames concatenate to exactly what ``pnut sim`` writes. Text
+    serialization is paid only when the ``trace`` output is subscribed.
     """
-    want_stats = "stats" in spec.outputs
-    header = TraceHeader(compiled.net.name, spec.run_number, spec.seed)
-    hasher = TraceHasher(header)
-    batch: list[str] = []
+    batch = list(format_header(header))
 
     def flush() -> None:
         if batch:
             emit({"channel": "trace", "lines": list(batch)})
             batch.clear()
 
-    observers: list[Any] = [hasher.on_event]
-    if "trace" in spec.outputs:
-        batch.extend(format_header(header))
+    def on_event(event) -> None:
+        batch.append(format_event(event))
+        if len(batch) >= TRACE_BATCH_LINES:
+            flush()
 
-        def on_event(event) -> None:
-            batch.append(format_event(event))
-            if len(batch) >= TRACE_BATCH_LINES:
-                flush()
-
-        observers.append(on_event)
-    stats_observer = None
-    if want_stats:
-        stats_observer = StatisticsObserver(run_number=spec.run_number)
-        observers.insert(0, stats_observer)
-    saboteur = faults.event_saboteur()
-    if saboteur is not None:
-        observers.append(saboteur)  # chaos hook: SIGKILL this child mid-run
-
-    simulator = compiled.simulator(
-        seed=spec.seed, run_number=spec.run_number, observers=observers
-    )
-    run_started = time.perf_counter()
-    result = simulator.run(
-        until=spec.until, max_events=spec.max_events, keep_events=False
-    )
-    elapsed = time.perf_counter() - run_started
-    flush()
-    run = SweepRunSummary(
-        seed=spec.seed,
-        run_number=spec.run_number,
-        final_time=result.final_time,
-        events_started=result.events_started,
-        events_finished=result.events_finished,
-        trace_events=hasher.events,
-        trace_sha256=hasher.hexdigest(),
-        stats=(statistics_payload(stats_observer.result())
-               if stats_observer is not None else None),
-        elapsed_s=elapsed,
-    )
-    return run, simulator
+    return on_event, flush
 
 
-def execute_job(compiled: CompiledNet, spec: JobSpec, resolution,
-                emit) -> dict[str, Any]:
-    """Run one job to completion; the CPU-bound leaf of the service.
+def _job_seeds(spec: Any) -> tuple[int | None, ...]:
+    """A job's seed axis: a submit is the one-seed grid of its ``seed``
+    (which may be None, as on ``pnut sim``)."""
+    return (spec.seed,) if isinstance(spec, JobSpec) else spec.seeds
 
-    Runs inside the forked child (or a thread on fork-less platforms).
-    ``resolution`` is the ``(program, selected, reason)`` triple the
-    server resolved in its parent process: a stats-only job on a net in
-    the lockstep safe class runs the parent's warm generated loop
-    (:meth:`~repro.sim.lockstep.LockstepProgram.run_seed`), every other
-    job — a subscribed ``trace`` output, or a safe-class fallback —
-    runs the scalar interpreter. Either way the returned payload is the
-    job's ``result`` frame body, byte-identical across the two engines:
-    a summary (counters, final time, the
-    :class:`~repro.sim.sweep.TraceHasher` digest of the event stream)
-    plus the Figure-5 statistics when subscribed. The selection is
-    counted as ``submit_backend_<selected>_total`` (plus the fallback
-    reason) in the job's obs deltas.
-    """
-    faults.stall_worker()  # chaos hook: hold the deadline path to the fire
-    program, selected, reason = resolution
-    simulator = None
-    if program is not None:
-        run, _values = program.run_seed(
-            spec.seed, spec.run_number, spec.until, spec.max_events,
-            "stats" in spec.outputs, {}, {},
-        )
-        # chaos hook: the compiled loop has no per-event observers, so
-        # the kill-child budget drains at run granularity, as in sweeps.
-        saboteur = faults.event_saboteur()
-        if saboteur is not None:
-            for _ in range(run.events_started):
-                saboteur(None)
-    else:
-        run, simulator = _run_interpreted(compiled, spec, emit)
-    _emit_obs_deltas(
-        emit, run.elapsed_s,
-        events_started=run.events_started,
-        events_finished=run.events_finished,
-        runs=1, simulator=simulator,
-        extra=backend_counts("submit", [resolution]),
-    )
 
+#: The resolution of a submit whose ``trace`` output is subscribed: the
+#: trace lines stream from per-event observers, which only the scalar
+#: interpreter runs.
+TRACE_OUTPUT = (None, "scalar", "trace-output")
+
+
+def _submit_summary(prepared, seeds, grid, cells, fresh, resumed):
+    """A submit's result body: its one run's summary and statistics."""
+    compiled = prepared[0][1]
+    run = cells[0]
     payload: dict[str, Any] = {
         "summary": {
             "net": compiled.net.name,
-            "seed": spec.seed,
-            "run": spec.run_number,
+            "seed": run.seed,
+            "run": run.run_number,
             "final_time": run.final_time,
             "events_started": run.events_started,
             "events_finished": run.events_finished,
@@ -343,7 +279,11 @@ class GridOp:
     child), cells-resumed and (for explore) cells-skipped counters
     (counted by the server parent), and ``summarize`` builds the result
     frame body in the parent; ``stats`` says whether it reads the cells'
-    statistics.
+    statistics. ``stream`` says whether cell frames reach clients and
+    the ``--store``: a submit's one cell is neither forwarded nor
+    checkpointed nor resumed, since its result frame carries it.
+    ``profile`` says whether scalar cells publish their scheduler
+    counters (``sched_*``) with the chunk's obs delta.
     """
 
     channel: str
@@ -353,6 +293,8 @@ class GridOp:
     counters: tuple[str, ...]
     summarize: Callable[..., dict[str, Any]]
     stats: bool
+    stream: bool = True
+    profile: bool = False
 
     def summary(self, payload: dict[str, Any]) -> SweepRunSummary:
         """What the parent keeps of one cell until the job ends: its run
@@ -371,9 +313,12 @@ class GridOp:
         return frame
 
 
-#: The grid ops, keyed by wire op: everything a sweep and an
+#: The grid ops, keyed by wire op: everything a submit, a sweep and an
 #: exploration do differently lives here, not in the executor's loop.
 GRID_OPS = {
+    "submit": GridOp("submit-run", "run", False, "submit", (),
+                     _submit_summary, stats=True, stream=False,
+                     profile=True),
     "sweep": GridOp("sweep-run", "run", False, "sweep",
                     ("sweep_runs_total", "sweep_runs_resumed_total"),
                     _sweep_summary, stats=True),
@@ -387,15 +332,16 @@ _GRID_CHANNELS = {op.channel: op for op in GRID_OPS.values()}
 
 def execute_grid_job(
     prepared: list[tuple[dict[str, Any], CompiledNet, str]],
-    spec: SweepSpec | ExploreSpec,
+    spec: JobSpec | SweepSpec | ExploreSpec,
     resolutions,
     indices: list[int],
     emit,
 ) -> None:
     """Run one chunk of a grid job: the cells at ``indices``, in order.
 
-    A sweep is the one-point grid of the empty point and an exploration
-    one point per bound parameter set (see
+    The one executor the server forks. A submit is the one-cell grid of
+    its net and seed, a sweep the one-point grid of the empty point and
+    an exploration one point per bound parameter set (see
     :meth:`SimulationService._prepare`). ``prepared`` carries one
     ``(point, compiled entry, net sha)`` triple per point, compiled on
     the server side through its net cache *before* the fork, so the
@@ -404,52 +350,70 @@ def execute_grid_job(
     the generated loop warmed) in the parent as well, so the child
     never pays codegen; each cell runs through the same
     :func:`~repro.sim.sweep.cell_runner` as the in-process grid, and
-    streams a payload identical to what a ``submit`` of that point's
-    net and seed would report.
+    its payload is identical to what a ``submit`` of that point's net
+    and seed reports.
 
     Runs inside one of the job's forked children (or the job's thread
     on fork-less platforms). ``indices`` are grid indices of fresh
     cells; the server splits a job's fresh cells over its children with
-    :func:`~repro.sim.sweep.contiguous_chunks` and replays store-resumed
-    cells itself. Each cell streams its cell frame, then its cell span;
-    the chunk ends with one obs delta. The server builds the result body
-    from the cell frames it forwarded, so the chunk returns nothing. The
-    op's frame shape and counters come from :data:`GRID_OPS`.
+    :func:`~repro.sim.experiment.contiguous_chunks` and replays
+    store-resumed cells itself. A submit with the ``trace`` output
+    subscribed first streams its trace in ``trace`` frames. Each cell
+    streams its cell frame, then its cell span; the chunk ends with one
+    obs delta. The server builds the result body from the cell frames
+    it received, so the chunk returns nothing. The op's frame shape and
+    counters come from :data:`GRID_OPS`.
     """
     faults.stall_worker()  # chaos hook: hold the deadline path to the fire
-    # chaos hook: the generated loop has no per-event observers, so the
-    # kill-child budget drains at run granularity — the SIGKILL lands
-    # between cells, after that cell's frame and span streamed.
+    # chaos hook: SIGKILL this child after that many engine events. It
+    # rides a scalar run's event stream; the generated loop has no
+    # per-event observers, so there the budget drains at run
+    # granularity — the SIGKILL lands between cells, after that cell's
+    # frame and span streamed.
     saboteur = faults.event_saboteur()
     op = GRID_OPS[spec.op]
-    want_stats = "stats" in spec.outputs
-    grid = grid_cells(len(prepared), spec.seeds)
+    obs = MetricsRegistry()
+    grid = grid_cells(len(prepared), _job_seeds(spec))
     runners = [
         cell_runner(compiled.template, resolution, spec.run_number,
-                    spec.until, spec.max_events, want_stats)
+                    spec.until, spec.max_events, "stats" in spec.outputs,
+                    profile=obs if op.profile else None)
         for (_point, compiled, _sha), resolution in zip(prepared, resolutions)
     ]
     events_started = events_finished = 0
     run_started = time.perf_counter()
     for index in indices:
         point, seed = grid[index]
-        summary, _values = runners[point](seed)
+        program, selected, reason = resolutions[point]
+        observers: list[Any] = []
+        flush = None
+        if "trace" in spec.outputs:  # a submit: resolved to scalar
+            on_event, flush = _trace_batcher(
+                TraceHeader(prepared[point][1].net.name, spec.run_number,
+                            seed),
+                emit,
+            )
+            observers.append(on_event)
+        if saboteur is not None and program is None:
+            observers.append(saboteur)
+        summary, _values = runners[point](seed, observers)
+        if flush is not None:
+            flush()
         events_started += summary.events_started
         events_finished += summary.events_finished
         emit({"channel": op.channel,
               **op.frame(index, point, summary.to_payload())})
-        _program, selected, reason = resolutions[point]
         _emit_cell_span(
             emit, op.channel, seed=seed, point=point if op.point else None,
             summary=summary, backend=selected, backend_reason=reason,
         )
-        if saboteur is not None:
+        if saboteur is not None and program is not None:
             for _ in range(summary.events_started):
                 saboteur(None)
     _emit_obs_deltas(
-        emit, time.perf_counter() - run_started,
+        emit, obs, time.perf_counter() - run_started,
         events_started=events_started, events_finished=events_finished,
-        runs=len(indices), extra={op.counters[0]: len(indices)},
+        runs=len(indices), extra=dict(zip(op.counters, (len(indices),))),
     )
 
 
@@ -939,24 +903,25 @@ class SimulationService:
     def _prepare(self, spec: Any):
         """Thread side of dispatch: find the job's net(s), resolve backends.
 
-        Returns ``(target, resolution, cached, compiles)``. A ``submit``
-        targets one compiled net; a subscribed ``trace`` output streams
-        interpreter events, so it resolves to the scalar engine without
-        classifying the net, and every other submit goes through
-        :meth:`_resolve`.
-
-        A grid job targets a list of ``(point, compiled, net sha)``
-        triples with one resolution per point. An exploration binds
-        every point through the same
+        Returns ``(prepared, resolutions, cached, compiles)``: a list of
+        ``(point, compiled, net sha)`` triples with one resolution per
+        point. An exploration binds every point through the same
         :func:`~repro.dse.explore.bind_space` the in-process driver
         uses (so net hashes match the client's skip keys) and through
         this server's net cache (so a repeated exploration of an
         overlapping grid hits it). The one-point-grid rule: a sweep is
         the exploration of the empty point ``{}``, i.e. the grid
-        ``[({}, compiled, sha256(compiled.source))]``. Its cells store
+        ``[({}, compiled, sha256(compiled.source))]``, and a submit is
+        that grid crossed with its one seed. A sweep's cells store
         under the empty point's key
         (:data:`~repro.dse.store.SWEEP_POINT_KEY`), exactly where the
         in-process :func:`~repro.sim.sweep.run_sweep` keeps them.
+
+        Every point resolves through :meth:`_resolve`, except that a
+        subscribed ``trace`` output (which only a submit may carry)
+        streams interpreter events, so it resolves to
+        :data:`TRACE_OUTPUT` without classifying the net. A submit asks
+        for ``auto``.
         """
         compiles: list[float] = []
         want_stats = "stats" in spec.outputs
@@ -968,18 +933,13 @@ class SimulationService:
         else:
             entry, outcome = self.cache.lookup(spec.net_source,
                                                self.immediate_budget)
-            if isinstance(spec, JobSpec):
-                resolution = (
-                    (None, "scalar", "trace-output")
-                    if "trace" in spec.outputs
-                    else self._resolve(entry, "auto", want_stats, compiles)
-                )
-                return entry, resolution, outcome != "miss", compiles
             points, entries, outcomes = [{}], [entry], [outcome]
             net_shas = [hashlib.sha256(entry.source.encode("utf-8"))
                         .hexdigest()]
+        backend = getattr(spec, "backend", "auto")
         resolutions = [
-            self._resolve(entry, spec.backend, want_stats, compiles)
+            TRACE_OUTPUT if "trace" in spec.outputs
+            else self._resolve(entry, backend, want_stats, compiles)
             for entry in entries
         ]
         cached = all(outcome != "miss" for outcome in outcomes)
@@ -1002,7 +962,7 @@ class SimulationService:
             "net_shas": [sha for _point, _compiled, sha in prepared],
             "point_keys": [point_key(point)
                            for point, _compiled, _sha in prepared],
-            "grid": grid_cells(len(prepared), spec.seeds),
+            "grid": grid_cells(len(prepared), _job_seeds(spec)),
             "skey": stop_key(spec.until, spec.max_events, spec.run_number,
                              "stats" in spec.outputs, ()),
         }
@@ -1015,7 +975,7 @@ class SimulationService:
     async def _execute(self, job: Job) -> None:
         spec = job.spec
         try:
-            target, resolution, cached, compiles = await asyncio.to_thread(
+            prepared, resolutions, cached, compiles = await asyncio.to_thread(
                 self._prepare, spec
             )
         except PnutError as error:
@@ -1036,34 +996,29 @@ class SimulationService:
             return
 
         job.attempts += 1
-        attempt: GridAttempt | None = None
-        if spec.op in GRID_OPS:
-            attempt = await self._start_grid(job, spec, target, resolution)
-            calls = [(execute_grid_job,
-                      (target, spec, attempt.resolutions, chunk))
-                     for chunk in attempt.chunks]
-        else:
-            calls = [(execute_job, (target, spec, resolution))]
+        attempt = await self._start_grid(job, spec, prepared, resolutions)
+        calls = [(execute_grid_job,
+                  (prepared, spec, attempt.resolutions, chunk))
+                 for chunk in attempt.chunks]
 
         async def forward(payload: dict[str, Any]) -> None:
             grid_op = _GRID_CHANNELS.get(payload.get("channel"))
-            if attempt is not None and grid_op is not None:
+            if grid_op is not None:
                 attempt.cells[payload["index"]] = grid_op.summary(
                     payload[grid_op.field]
                 )
             await self._publish_stream(job, payload)
 
-        value: dict[str, Any] | None = None
         error_text: str | None = None
         crash: dict[str, Any] | None = None
         timed_out = False
         if job.state is not JobState.CANCELLED:
             if self.use_fork:
-                value, error_text, crash, timed_out = await self._run_forked(
+                error_text, crash, timed_out = await self._run_forked(
                     job, calls, forward
                 )
             else:
-                value, error_text = await self._run_inline(calls, forward)
+                error_text = await self._run_inline(calls, forward)
         if job.state is JobState.CANCELLED:
             # Cancel wins over everything — including a crash whose
             # SIGKILL *was* the cancellation, and an expired deadline.
@@ -1093,8 +1048,8 @@ class SimulationService:
                 code="worker-crashed",
             )
             return
-        if attempt is not None and error_text is None:
-            value = self._grid_result(spec, target, attempt)
+        value = (self._grid_result(spec, prepared, attempt)
+                 if error_text is None else None)
         self._finish(job, value, error_text)
 
     async def _start_grid(self, job: Job, spec: Any, prepared,
@@ -1109,12 +1064,13 @@ class SimulationService:
         Store-resumed cells stream from here as ordinary cell frames,
         and every cell that will not run gets its zero-length
         ``skipped`` cell span here too; cells the client's ``skip``
-        names stream no frame at all.
+        names stream no frame at all. A submit never consults the
+        store: its one cell always runs.
         """
-        stored = (self._consult_store(job, spec, prepared)
-                  if self.store is not None else {})
         op = GRID_OPS[spec.op]
-        grid = grid_cells(len(prepared), spec.seeds)
+        stored = (self._consult_store(job, spec, prepared)
+                  if self.store is not None and op.stream else {})
+        grid = grid_cells(len(prepared), _job_seeds(spec))
         skip = set(getattr(spec, "skip", ()))
         fresh = [index for index, cell in enumerate(grid)
                  if cell not in skip and index not in stored]
@@ -1174,15 +1130,15 @@ class SimulationService:
         counts.update(backend_counts(op.surface, attempt.resolutions))
         for name, value in counts.items():
             self.metrics.counter(name).inc(value)
-        return op.summarize(prepared, list(spec.seeds), grid, cells,
+        return op.summarize(prepared, list(_job_seeds(spec)), grid, cells,
                             attempt.fresh, attempt.resumed)
 
     async def _run_forked(self, job: Job, calls, forward):
         """Run each ``(fn, args)`` call in its own forked child.
 
         Pumps every child's pipe concurrently through ``forward`` and
-        returns ``(value, error text, crash info, timed out)``, where
-        ``value`` is the last child's return value. The job's deadline,
+        returns ``(error text, crash info, timed out)``; the children
+        stream everything and return nothing. The job's deadline,
         cancellation (``job.cancel_hook``) and crash verdict cover all
         of its children: the first child to crash, fail or outlive the
         deadline ends the attempt, and every sibling is terminated.
@@ -1205,7 +1161,6 @@ class SimulationService:
                     if job.spec.timeout is not None else None)
         pumps = {asyncio.ensure_future(self._pump_child(task, forward))
                  for task in tasks}
-        value: dict[str, Any] | None = None
         error_text: str | None = None
         crash: dict[str, Any] | None = None
         timed_out = False
@@ -1226,11 +1181,9 @@ class SimulationService:
                     break
                 for pump in done:
                     kind, payload = pump.result()
-                    if kind == "ok":
-                        value = payload
-                    elif kind == "crashed":
+                    if kind == "crashed":
                         crash = payload
-                    else:
+                    elif kind != "ok":
                         error_text = payload
         finally:
             for pump in pumps:
@@ -1238,7 +1191,7 @@ class SimulationService:
             if pumps:
                 terminate_all()
             await asyncio.to_thread(lambda: [task.join() for task in tasks])
-        return value, error_text, crash, timed_out
+        return error_text, crash, timed_out
 
     @staticmethod
     async def _pump_child(task: ForkedTask, forward):
@@ -1255,7 +1208,7 @@ class SimulationService:
     async def _run_inline(self, calls, forward):
         """Run the calls on a thread, one after another (no fork).
 
-        Returns ``(value, error text)``: no crash to detect, no child
+        Returns the error text, if any: no crash to detect, no child
         to kill on a deadline or a cancel.
         """
         loop = asyncio.get_running_loop()
@@ -1265,13 +1218,12 @@ class SimulationService:
             # buffer space — the inline twin of the pipe backpressure.
             asyncio.run_coroutine_threadsafe(forward(payload), loop).result()
 
-        value = None
         try:
             for fn, args in calls:
-                value = await asyncio.to_thread(fn, *args, emit)
+                await asyncio.to_thread(fn, *args, emit)
         except PnutError as error:
-            return None, str(error)
-        return value, None
+            return str(error)
+        return None
 
     def _retry(self, job: Job, crash: dict[str, Any]) -> None:
         """Park a crashed job and re-arm it after an exponential backoff."""
@@ -1350,6 +1302,8 @@ class SimulationService:
             return
         grid_op = _GRID_CHANNELS.get(channel)
         if grid_op is not None:
+            if not grid_op.stream:
+                return
             self._checkpoint_cell(job, payload["index"],
                                   payload[grid_op.field])
         elif channel != "trace":

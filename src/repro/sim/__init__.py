@@ -14,7 +14,6 @@ __getattr__, __dir__, __all__ = lazy_exports(globals(), {
         "MetricSummary",
         "fork_available",
         "map_chunked_forked",
-        "map_forked",
         "summarize_metric",
     ),
     "lockstep": (

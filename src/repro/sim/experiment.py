@@ -160,6 +160,25 @@ class ForkedTask:
         self._process.join(timeout=self.TERMINATE_GRACE)
 
 
+def contiguous_chunks(positions: list[int], workers: int) -> list[list[int]]:
+    """Split positions into ``workers`` contiguous, near-equal chunks.
+
+    Contiguity is deliberate: grid cells are enumerated point-major, so
+    a contiguous chunk keeps consecutive seeds of one point on one
+    worker and each child touches as few compiled skeletons as possible.
+    The in-process :func:`~repro.sim.sweep.run_grid`, the service's grid
+    jobs and :meth:`Experiment.run` all split their work with this.
+    """
+    base, extra = divmod(len(positions), workers)
+    chunks: list[list[int]] = []
+    start = 0
+    for w in range(workers):
+        size = base + (1 if w < extra else 0)
+        chunks.append(positions[start:start + size])
+        start += size
+    return chunks
+
+
 def map_chunked_forked(
     run_one: Callable[[int], Any],
     chunks: Sequence[Sequence[int]],
@@ -213,43 +232,6 @@ def map_chunked_forked(
     if failure is not None:
         raise RuntimeError(f"{label} failed:\n{failure}")
     return collected
-
-
-def map_forked(
-    fn: Callable[..., Any],
-    arg_tuples: Sequence[tuple],
-    labels: Sequence[str] | None = None,
-) -> list[Any]:
-    """Run ``fn(*args, emit=...)`` once per tuple, one forked child each.
-
-    Returns the children's values in input order; the first failure is
-    raised as ``RuntimeError`` after every child has been joined.
-    Streamed ``emit`` messages are discarded here — use :class:`ForkedTask`
-    directly when they matter.
-    """
-    tasks = [
-        ForkedTask(fn, args,
-                   label=labels[i] if labels else f"forked worker {i}")
-        for i, args in enumerate(arg_tuples)
-    ]
-    values: list[Any] = [None] * len(tasks)
-    failure: str | None = None
-    for i, task in enumerate(tasks):
-        while True:
-            kind, payload = task.next_message()
-            if kind == "msg":
-                continue
-            if kind == "ok":
-                values[i] = payload
-            elif failure is None:
-                failure = (payload["error"] if kind == "crashed"
-                           else payload)
-            break
-    for task in tasks:
-        task.join()
-    if failure is not None:
-        raise RuntimeError(f"forked worker failed:\n{failure}")
-    return values
 
 
 @dataclass(frozen=True)
@@ -544,28 +526,13 @@ class Experiment:
     ) -> list[tuple[SimulationResult, dict[str, float]]]:
         """Fan replications across forked worker processes.
 
-        Each worker takes a strided chunk of replication indices; the
-        chunks map over :func:`map_forked` and the parent reassembles
-        the (result, values) pairs in replication order.
+        Each worker takes a contiguous chunk of replication indices
+        through :func:`map_chunked_forked`; the parent reassembles the
+        (result, values) pairs in replication order.
         """
-        chunks = [
-            chunk for chunk in
-            (list(range(w, replications, workers)) for w in range(workers))
-            if chunk
-        ]
-        payloads = map_forked(
-            self._replicate_chunk,
-            [(chunk, keep_events) for chunk in chunks],
-            labels=[f"worker for replications {chunk}" for chunk in chunks],
+        pairs = map_chunked_forked(
+            lambda index: self._replicate(index, keep_events),
+            contiguous_chunks(list(range(replications)), workers),
+            label="replication worker",
         )
-        indexed: dict[int, tuple[SimulationResult, dict[str, float]]] = {}
-        for payload in payloads:
-            for index, result, values in payload:
-                indexed[index] = (result, values)
-        return [indexed[i] for i in range(replications)]
-
-    def _replicate_chunk(self, indices, keep_events: bool, emit) -> list:
-        """Run one worker's chunk of replications (in the forked child)."""
-        return [
-            (index, *self._replicate(index, keep_events)) for index in indices
-        ]
+        return [pairs[index] for index in range(replications)]

@@ -44,6 +44,7 @@ from ..trace.serialize import encode_event, encode_header
 from .engine import SimulationResult, Simulator
 from .experiment import (
     MetricSummary,
+    contiguous_chunks,
     fork_available,
     map_chunked_forked,
     summarize_metric,
@@ -213,19 +214,31 @@ def _sweep_one(
     want_stats: bool,
     metrics: dict[str, Callable[[SimulationResult], float]],
     stat_metrics: dict[str, Callable[[TraceStatistics], float]],
+    observers: Sequence[Callable[[TraceEvent], Any]] = (),
+    profile=None,
 ) -> tuple[SweepRunSummary, dict[str, float]]:
-    """Fork the skeleton, run one seed, reduce to (summary, metric values)."""
-    observers: list[Any] = []
+    """Fork the skeleton, run one seed, reduce to (summary, metric values).
+
+    The one place a scalar run is wired to its statistics and trace-hash
+    observers. Extra ``observers`` see every event after those two (the
+    service streams trace lines and injects faults through them), and
+    ``profile``, a :class:`~repro.obs.metrics.MetricsRegistry`, receives
+    the run's scheduler counters as ``sched_*``.
+    """
+    chain: list[Any] = []
     stats_observer = None
     if want_stats or stat_metrics:
         stats_observer = StatisticsObserver(run_number=run_number)
-        observers.append(stats_observer)
+        chain.append(stats_observer)
     hasher = TraceHasher(TraceHeader(skeleton.net.name, run_number, seed))
-    observers.append(hasher.on_event)
-    sim = skeleton.fork(seed=seed, run_number=run_number, observers=observers)
+    chain.append(hasher.on_event)
+    chain.extend(observers)
+    sim = skeleton.fork(seed=seed, run_number=run_number, observers=chain)
     run_started = time.perf_counter()
     result = sim.run(until=until, max_events=max_events, keep_events=False)
     elapsed_s = time.perf_counter() - run_started
+    if profile is not None:
+        sim.publish_profile(profile, prefix="sched_")
     values = {name: fn(result) for name, fn in metrics.items()}
     stats_dict = None
     if stats_observer is not None:
@@ -399,25 +412,30 @@ def cell_runner(
     want_stats: bool,
     metrics: dict[str, Callable[[SimulationResult], float]] | None = None,
     stat_metrics: dict[str, Callable[[TraceStatistics], float]] | None = None,
-) -> Callable[[int], tuple[SweepRunSummary, dict[str, float]]]:
-    """The per-cell runner of one grid point: ``seed -> (summary, values)``.
+    profile=None,
+) -> Callable[..., tuple[SweepRunSummary, dict[str, float]]]:
+    """The per-cell runner of one grid point:
+    ``(seed, observers=()) -> (summary, values)``.
 
     Runs the resolved program's generated loop when there is one and
     forks the scalar skeleton otherwise; both give bit-identical
     summaries. The in-process grid and the service's grid executor
-    run every cell through this.
+    run every cell through this. Per-event ``observers`` and the
+    scheduler ``profile`` (see :func:`_sweep_one`) exist only on the
+    scalar engine: the generated loop has no per-event hook, so a cell
+    that needs its events (a streamed trace) must resolve to scalar.
     """
     program = resolution[0]
     metrics = metrics or {}
     stat_metrics = stat_metrics or {}
     if program is not None:
-        return lambda seed: program.run_seed(
+        return lambda seed, observers=(): program.run_seed(
             seed, run_number, until, max_events, want_stats, metrics,
             stat_metrics,
         )
-    return lambda seed: _sweep_one(
+    return lambda seed, observers=(): _sweep_one(
         skeleton, seed, run_number, until, max_events, want_stats, metrics,
-        stat_metrics,
+        stat_metrics, observers, profile,
     )
 
 
@@ -537,25 +555,6 @@ def run_grid(
         resolutions=resolutions,
         stop=skey,
     )
-
-
-def contiguous_chunks(positions: list[int], workers: int) -> list[list[int]]:
-    """Split positions into ``workers`` contiguous, near-equal chunks.
-
-    Contiguity is deliberate: cells are enumerated point-major, so a
-    contiguous chunk keeps consecutive seeds of one point on one worker
-    and each child touches as few compiled skeletons as possible. The
-    in-process :func:`run_grid` and the service's grid jobs both split
-    their fresh cells with this.
-    """
-    base, extra = divmod(len(positions), workers)
-    chunks: list[list[int]] = []
-    start = 0
-    for w in range(workers):
-        size = base + (1 if w < extra else 0)
-        chunks.append(positions[start:start + size])
-        start += size
-    return chunks
 
 
 def run_sweep(

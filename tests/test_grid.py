@@ -7,7 +7,9 @@ smoke grid: a change to either grid path, to the per-cell runner, or to
 how cells are ordered, stored or digested moves them. Each pin is
 checked on both engines, in-process and through a ``ServerThread`` with
 one worker slot and with two (where a grid job's cells split over two
-forked children).
+forked children). A submit, the one-cell grid, is pinned by its raw
+result frame on each engine: stats-only runs the compiled loop, a
+subscribed trace the interpreter.
 
 The hypothesis property below pins the grid orchestration itself:
 whatever the seed list (duplicates allowed), whichever cells a result
@@ -18,6 +20,7 @@ cell payload and the grid digest equal a cold scalar run's.
 import functools
 import hashlib
 import os
+import socket
 import tempfile
 
 import pytest
@@ -127,6 +130,95 @@ class TestExplorePin:
         assert [outcome.summary["resumed_cells"]
                 for outcome in outcomes] == [0, 8]
         assert outcomes[1].cells == outcomes[0].cells
+
+
+class TestSubmitPin:
+    """A submit is the one-cell grid of its net and seed."""
+
+    #: SHA-256 of the result frame of a warm Figure-5 submit (10 000
+    #: cycles, seed 1988), its per-job identity fields set to fixed
+    #: values. The stats payloads of the two engines hold the same
+    #: values in a different key order.
+    RESULT_SHA256 = {
+        ("stats",): "cd2c8d703472e5f72fe895fc3faffe94"
+                    "7686f070257259ef28ce1de0779ddfe3",
+        ("stats", "trace"): "85fc1588375ed82e133f97e2e1bfb9c4"
+                            "ba6e2b452d90fd37f8d63288609b8433",
+    }
+    BACKEND = {
+        ("stats",): {"submit_backend_lockstep_total": 1},
+        ("stats", "trace"): {"submit_backend_scalar_total": 1,
+                             "submit_backend_fallback_trace_output_total": 1},
+    }
+
+    @pytest.mark.parametrize("outputs", [("stats",), ("stats", "trace")],
+                             ids=lambda outputs: "-".join(outputs))
+    def test_served(self, server, fig5_source, outputs):
+        from repro.service.protocol import decode, encode
+        from repro.service.smoke import (
+            PAPER_CYCLES,
+            REFERENCE_TRACE_SHA256,
+            SEED,
+        )
+
+        with server.client() as client:
+            client.submit(fig5_source, until=1, seed=SEED)  # warm the cache
+            before = client.metrics()["metrics"]["counters"]
+            request = {"op": "submit", "id": 1, "net": fig5_source,
+                       "until": float(PAPER_CYCLES), "seed": SEED,
+                       "outputs": list(outputs)}
+            with socket.socket(socket.AF_UNIX, socket.SOCK_STREAM) as sock:
+                sock.connect(server.socket_path)
+                reader = sock.makefile("rb")
+                sock.sendall(encode(request))
+                lines = [reader.readline()]
+                while decode(lines[-1])["type"] not in ("result", "error"):
+                    lines.append(reader.readline())
+            after = client.metrics()["metrics"]["counters"]
+        frames = [decode(line) for line in lines]
+        assert [frame["type"] for frame in frames[1:-1]] == \
+            ["trace"] * (len(frames) - 2)
+        trace = hashlib.sha256()
+        for frame in frames[1:-1]:
+            for line in frame["lines"]:
+                trace.update(line.encode("utf-8") + b"\n")
+        if "trace" in outputs:
+            assert trace.hexdigest() == REFERENCE_TRACE_SHA256
+        else:
+            assert len(frames) == 2
+        result = frames[-1]
+        for field, value in (("job", "j"), ("trace", "t")):
+            assert isinstance(result[field], str)
+            result[field] = value
+        assert hashlib.sha256(encode(result)).hexdigest() == \
+            self.RESULT_SHA256[outputs]
+        moved = {name: after[name] - before.get(name, 0) for name in after
+                 if after[name] != before.get(name, 0)}
+        assert {name: delta for name, delta in moved.items()
+                if name.startswith("submit_backend_")} == \
+            self.BACKEND[outputs]
+        # Only the interpreter has a scheduler profile to publish.
+        assert (moved.get("sched_events_scheduled", 0) > 0) == \
+            ("trace" in outputs)
+        for name, delta in (("forks_total", int(fork_available())),
+                            ("engine_runs_total", 1)):
+            assert after.get(name, 0) - before.get(name, 0) == delta
+
+    def test_served_store_keeps_no_cell(self, tmp_path, fig5_source):
+        # A submit's one cell is its result frame: it is neither
+        # checkpointed to the server's store nor resumed from it.
+        store_path = str(tmp_path / "cells.sqlite")
+        with ServerThread(store_path=store_path) as thread:
+            with thread.client() as client:
+                client.sweep(fig5_source, [1], until=SWEEP_UNTIL)
+                stored = client.server_stats()["store"]["cells"]
+                results = [client.submit(fig5_source, until=SWEEP_UNTIL,
+                                         seed=1) for _ in range(2)]
+                stats = client.server_stats()
+        assert stored == 1
+        assert stats["store"]["cells"] == stored
+        assert stats["queue"]["resumed_cells"] == 0
+        assert results[0].summary == results[1].summary
 
 
 # ---------------------------------------------------------------------------

@@ -8,6 +8,7 @@ and forked worker pool only change *how fast* that answer arrives.
 
 import asyncio
 import io
+import multiprocessing
 import sys
 import threading
 import time
@@ -33,8 +34,15 @@ from repro.service import (
     decode,
     encode,
 )
+from repro.service.protocol import SPEC_CLASSES
 from repro.service.queue import Job, JobState
-from repro.sim import ForkedTask, Simulator, fork_available, map_forked, simulate
+from repro.sim import (
+    ForkedTask,
+    Simulator,
+    fork_available,
+    map_chunked_forked,
+    simulate,
+)
 from repro.trace.serialize import write_trace
 
 SMALL_NET = """\
@@ -82,6 +90,29 @@ class TestProtocol:
         spec = JobSpec(net_source=SMALL_NET, until=100.0, seed=3,
                        run_number=2, outputs=("stats", "trace"), priority=5)
         assert JobSpec.from_payload(spec.to_payload()) == spec
+
+    @pytest.mark.parametrize("op, field", [
+        *((op, field) for op in ("submit", "sweep", "explore")
+          for field in ("until", "max_events", "run", "priority")),
+        ("submit", "seed"),
+        *((op, "net") for op in ("submit", "sweep", "explore")),
+    ])
+    def test_from_payload_rejects_booleans(self, op, field):
+        # JSON true/false decode to bool, which Python counts as an int.
+        payload = {
+            "submit": {"net": SMALL_NET, "until": 10},
+            "sweep": {"net": SMALL_NET, "until": 10, "seeds": [1]},
+            "explore": {"net": SMALL_NET, "until": 10, "seeds": [1],
+                        "params": {"axes": [{"name": "x",
+                                             "values": [1]}]}},
+        }[op]
+        SPEC_CLASSES[op].from_payload(payload)
+        with pytest.raises(ProtocolError) as excinfo:
+            SPEC_CLASSES[op].from_payload({**payload, field: True})
+        message = str(excinfo.value)
+        assert f"'{field}'" in message
+        if field == "net":
+            assert message.startswith(f"{op} needs")
 
     @pytest.mark.parametrize("payload", [
         {},
@@ -230,10 +261,30 @@ class TestForkedTask:
         assert (kind, payload) == ("ok", 30)
         task.join()
 
-    def test_map_forked_orders_and_raises(self):
-        assert map_forked(_child_streams, [(2,), (5,)]) == [20, 50]
+    def test_map_chunked_forked_keys_by_position_and_raises(self):
+        seen = []
+        results = map_chunked_forked(
+            lambda position: position * 10, [[3, 1], [], [2]],
+            on_result=lambda position, value: seen.append(position),
+        )
+        assert results == {3: 30, 1: 10, 2: 20}
+        assert sorted(seen) == [1, 2, 3]
+
+        def fails_on_two(position):
+            if position == 2:
+                raise ValueError("deliberate failure")
+            if position == 4:
+                time.sleep(0.5)  # still running when the sibling fails
+            return position
+
+        before = set(multiprocessing.active_children())
+        started = time.monotonic()
         with pytest.raises(RuntimeError, match="deliberate failure"):
-            map_forked(_child_fails, [()])
+            map_chunked_forked(fails_on_two, [[1, 2, 3], [4]])
+        # Raised only after every child, the slow one included, was
+        # joined: none is left behind.
+        assert time.monotonic() - started >= 0.5
+        assert set(multiprocessing.active_children()) <= before
 
     def test_terminate_surfaces_as_crash(self):
         task = ForkedTask(_child_hangs, (), label="hanging job")
